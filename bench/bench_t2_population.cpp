@@ -156,14 +156,6 @@ SweepLeg run_leg(std::size_t devices, unsigned threads,
   config.threads = threads;
   config.build_coverage = false;  // the sweep measures the engine, not analyses
   config.ckpt = ckpt;
-  // Sharded windows buffer their records until the merge barrier; without a
-  // boundary the single window spans the whole horizon, which at 1M agents
-  // is tens of GB of buffered records. A daily cadence bounds residency;
-  // with no snapshot path set it writes nothing, and window boundaries
-  // never change output bytes.
-  if (threads > 1 && config.ckpt.every_sim_hours == 0) {
-    config.ckpt.every_sim_hours = 24;
-  }
 
   SweepLeg leg;
   const auto build_start = std::chrono::steady_clock::now();

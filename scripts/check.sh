@@ -113,6 +113,17 @@ python3 scripts/validate_trace.py "$trace_tmp/storm/trace.json" \
   --require-span ckpt_write --heartbeat "$trace_tmp/storm/heartbeat.json"
 echo "check.sh: traced storm run exports Perfetto-loadable JSON + live heartbeat"
 
+# The storm run above has a congestion model, so its pipeline drains at
+# every window. A traced MNO run with no cadence overlaps each day's shard
+# window with the previous day's merge; validate that export too.
+mkdir -p "$trace_tmp/mno"
+"$build_dir/tests/wtr_ckpt_harness" --out "$trace_tmp/mno" --scenario mno \
+  --devices 400 --days 6 --threads 4 --trace "$trace_tmp/mno/trace.json"
+python3 scripts/validate_trace.py "$trace_tmp/mno/trace.json" \
+  --min-shards 4 --require-span shard_window --require-span shard_fanout \
+  --require-span merge
+echo "check.sh: traced overlapped MNO run exports Perfetto-loadable JSON"
+
 # Hung child: beats once, then stalls forever on attempt 1; attempt 2 (after
 # the supervisor SIGKILLs it) exits clean. The supervisor must detect the
 # stale heartbeat, kill, restart without backoff, and exit 0.

@@ -1,10 +1,9 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <string>
 
@@ -19,9 +18,6 @@ namespace wtr::sim {
 
 namespace {
 
-/// Debug-wake cadence shared by both execution paths (stderr heartbeat).
-constexpr std::uint64_t kDebugWakeEvery = 2'000'000;
-
 /// Wake cadences for flight-recorder instants and heartbeat refresh checks
 /// in the single-threaded loop (power-of-two masks; the sharded path uses
 /// window barriers instead). 8192 wakes between trace instants keeps a
@@ -31,9 +27,10 @@ constexpr std::uint64_t kBeatWakeMask = (1u << 10) - 1;
 
 }  // namespace
 
-/// Everything one shard's event loop owns: the record arena, its wake
-/// count, and — when metrics are on — a private registry fed by a private
-/// OutcomePolicy clone, so shard loops never touch shared counters.
+/// Everything one shard's event loop owns: two record arenas (the pipeline
+/// fills one while the merge replays the other), its wake count, and — when
+/// metrics are on — a private registry fed by a private OutcomePolicy
+/// clone, so shard loops never touch shared counters.
 struct Engine::Shard {
   Shard(const signaling::OutcomePolicyConfig& outcome_config,
         const faults::FaultSchedule* faults, obs::MetricsRegistry* main_metrics,
@@ -42,7 +39,7 @@ struct Engine::Shard {
         outcomes(outcome_config, faults, main_metrics != nullptr ? &metrics : nullptr,
                  congestion, congestion != nullptr ? &ledger : nullptr) {}
 
-  RecordBuffer buffer;
+  std::array<RecordBuffer, 2> buffers;
   obs::MetricsRegistry metrics;
   /// Shard-private attach-attempt counts for the open congestion bucket;
   /// absorbed into the model at barriers by the merge thread.
@@ -399,10 +396,6 @@ void Engine::run_single(const std::vector<RecordSink*>& sinks) {
   ctx.outcomes = &outcomes_;
   ctx.sink = &fanout;
 
-  // One lookup before the loop — the env cannot change mid-run, and getenv
-  // walks environ on every call on most libcs.
-  const bool debug_wakes = ::getenv("WTR_DEBUG_WAKES") != nullptr;
-
   const stats::SimTime horizon_end = stats::day_start(config_.horizon_days);
   const stats::SimTime cadence_s =
       config_.checkpoint_every_sim_hours > 0
@@ -457,11 +450,6 @@ void Engine::run_single(const std::vector<RecordSink*>& sinks) {
       if (probe != nullptr && probe->due(event.time)) {
         // +1: the popped event is still in flight at the sample instant.
         probe->on_tick(event.time, queue_.size() + 1, wakes_);
-      }
-      if (debug_wakes && wakes_ % kDebugWakeEvery == 0) {
-        std::fprintf(stderr, "[engine] wakes=%llu t=%lld agent=%u queue=%zu\n",
-                     (unsigned long long)wakes_, (long long)event.time, event.agent,
-                     queue_.size());
       }
       if (rec != nullptr && (wakes_ & kTraceWakeMask) == 0) {
         rec->instant(kTrack, obs::TraceCat::kEngine, "wake_batch", "wakes",
@@ -519,16 +507,16 @@ void Engine::run_single(const std::vector<RecordSink*>& sinks) {
 }
 
 void Engine::run_shard_window(Shard& shard, EventQueue& queue,
-                              stats::SimTime stop) {
+                              RecordBuffer& buffer, stats::SimTime stop) {
   AgentContext ctx;
   ctx.world = &world_;
   ctx.selector = &selector_;
   ctx.outcomes = &shard.outcomes;
-  ctx.sink = &shard.buffer;
+  ctx.sink = &buffer;
 
   // Shard-thread-side telemetry: this thread is the sole writer of
-  // shard.track and of the shard's busy/hwm fields; the pool barrier
-  // publishes them to the merge thread.
+  // shard.track and of the shard's busy/hwm fields; the pool.wait() that
+  // ends the window publishes them to the merge thread.
   const std::int64_t t0 = shard.trace != nullptr ? shard.trace->now_ns() : 0;
   const std::uint64_t wakes_before = shard.wakes;
   if (shard.trace != nullptr && queue.size() > shard.queue_hwm) {
@@ -542,7 +530,7 @@ void Engine::run_shard_window(Shard& shard, EventQueue& queue,
     // arena slots — no synchronization needed.
     auto& agent = arena_.agent(event.agent);
     const auto next = agent.on_wake(event.time, ctx);
-    shard.buffer.end_wake(event.agent, next ? *next : RecordBuffer::kNoNextWake);
+    buffer.end_wake(event.agent, next ? *next : RecordBuffer::kNoNextWake);
     if (next) queue.schedule(*next, event.agent);
   }
 
@@ -586,12 +574,11 @@ void Engine::run_sharded(const std::vector<RecordSink*>& sinks,
   }
   obs::FlightRecorder* rec = trace_.get();
   constexpr std::uint32_t kTrack = obs::FlightRecorder::kEngineTrack;
-  std::vector<double> busy_before(shard_count, 0.0);
 
-  // Shard queues persist across checkpoint windows: pending events carry
-  // over; only the record arenas are drained per window. Initial schedule
-  // in ascending agent index — the merge replay relies on this matching
-  // the global add_fleet order restricted to each shard. On resume the
+  // Shard queues persist across windows: pending events carry over; only
+  // the record arenas are drained per window. Initial schedule in
+  // ascending agent index — the merge replay relies on this matching the
+  // global add_fleet order restricted to each shard. On resume the
   // snapshot's pending events (already in global pop order) re-partition
   // the same way.
   std::vector<EventQueue> shard_queues(shard_count);
@@ -611,7 +598,6 @@ void Engine::run_sharded(const std::vector<RecordSink*>& sinks,
     }
   }
 
-  const bool debug_wakes = ::getenv("WTR_DEBUG_WAKES") != nullptr;
   const stats::SimTime horizon_end = stats::day_start(config_.horizon_days);
   const stats::SimTime cadence_s =
       config_.checkpoint_every_sim_hours > 0
@@ -626,43 +612,51 @@ void Engine::run_sharded(const std::vector<RecordSink*>& sinks,
   const stats::SimTime bucket_s =
       congestion != nullptr ? congestion->config().bucket_s : 0;
 
-  std::vector<RecordBuffer::Cursor> cursors(shard_count);
-  util::ThreadPool pool(shard_count);
-  double merge_total_s = 0.0;
-  stats::SimTime window_start = resumed_ ? resume_time_ : 0;
-  stats::SimTime stop = 0;
-  bool reached_horizon = false;
-  while (true) {
-    stop = horizon_end;
-    if (cadence_s > 0) {
-      stop = std::min(stop, (window_start / cadence_s + 1) * cadence_s);
-    }
-    if (bucket_s > 0) {
-      stop = std::min(stop, (window_start / bucket_s + 1) * bucket_s);
-    }
+  // A window ends at the next midnight, or earlier at a cadence,
+  // congestion-bucket or stop boundary — so one window buffers at most one
+  // sim day of records per shard.
+  const auto window_stop = [&](stats::SimTime start) {
+    stats::SimTime stop = std::min(
+        horizon_end, (start / stats::kSecondsPerDay + 1) * stats::kSecondsPerDay);
+    if (cadence_s > 0) stop = std::min(stop, (start / cadence_s + 1) * cadence_s);
+    if (bucket_s > 0) stop = std::min(stop, (start / bucket_s + 1) * bucket_s);
     if (stop_time >= 0) stop = std::min(stop, stop_time);
+    return stop;
+  };
 
-    obs::TraceSpan fanout_span(rec, kTrack, obs::TraceCat::kMerge,
-                               "shard_fanout");
-    const auto fanout_start =
-        rec != nullptr ? Clock::now() : Clock::time_point{};
+  util::ThreadPool pool(shard_count);
+  std::vector<double> busy_before(shard_count, 0.0);
+  std::int64_t launch_ns = 0;
+  // Start every shard on the window ending at `stop`, recording into its
+  // buffer `slot`. Called only with no window in flight, so the busy
+  // counters read here are quiescent.
+  const auto launch = [&](stats::SimTime stop, std::size_t slot) {
     if (rec != nullptr) {
-      for (std::size_t s = 0; s < shard_count; ++s) {
-        busy_before[s] = shards[s].busy_s;
-      }
+      for (std::size_t s = 0; s < shard_count; ++s) busy_before[s] = shards[s].busy_s;
+      launch_ns = rec->now_ns();
     }
     for (std::size_t s = 0; s < shard_count; ++s) {
       Shard* shard = &shards[s];
       EventQueue* queue = &shard_queues[s];
-      pool.submit([this, shard, queue, stop] {
-        run_shard_window(*shard, *queue, stop);
+      pool.submit([this, shard, queue, slot, stop] {
+        run_shard_window(*shard, *queue, shard->buffers[slot], stop);
       });
     }
+  };
+
+  // Two-stage pipeline over windows: while the pool runs window w+1 into
+  // one buffer slot, this thread replays window w out of the other.
+  std::vector<RecordBuffer::Cursor> cursors(shard_count);
+  stats::SimTime stop = window_stop(resumed_ ? resume_time_ : 0);
+  std::size_t slot = 0;
+  bool reached_horizon = false;
+  launch(stop, slot);
+  while (true) {
     pool.wait();
     if (rec != nullptr) {
-      // The barrier just quiesced the workers, so their busy counters are
-      // safe to read: the skew is how long the fastest shard sat idle
-      // waiting for the slowest this window.
+      // The wait just quiesced the workers, so their busy counters are safe
+      // to read: the skew is how long the fastest shard sat idle waiting
+      // for the slowest this window.
       double lo = shards[0].busy_s - busy_before[0];
       double hi = lo;
       for (std::size_t s = 1; s < shard_count; ++s) {
@@ -671,11 +665,22 @@ void Engine::run_sharded(const std::vector<RecordSink*>& sinks,
         hi = std::max(hi, d);
       }
       merge_wait_skew_s_ += hi - lo;
-      window_wall_s_ +=
-          std::chrono::duration<double>(Clock::now() - fanout_start).count();
+      const std::int64_t now = rec->now_ns();
+      window_wall_s_ += static_cast<double>(now - launch_ns) * 1e-9;
+      rec->complete(kTrack, obs::TraceCat::kMerge, "shard_fanout", launch_ns,
+                    now - launch_ns, "sim_stop", stop);
     }
-    fanout_span.set_args("sim_stop", stop);
-    fanout_span.close();
+
+    // Absorbing the congestion ledgers, writing a snapshot and honouring a
+    // stop or shutdown all need the shards parked at `stop`, so those
+    // barriers drain the pipeline: the next window starts only after this
+    // one is merged. Everywhere else it overlaps the merge.
+    const bool drain = congestion != nullptr || stop >= horizon_end ||
+                       (stop_time >= 0 && stop == stop_time) ||
+                       (cadence_s > 0 && stop % cadence_s == 0) ||
+                       ckpt::shutdown_requested();
+    const stats::SimTime next_stop = window_stop(stop);
+    if (!drain) launch(next_stop, slot ^ 1);
 
     // --- Deterministic k-way merge of this window ---------------------------
     // Rebuild the exact single-threaded pop order by replaying the
@@ -692,14 +697,10 @@ void Engine::run_sharded(const std::vector<RecordSink*>& sinks,
       if (probe != nullptr && probe->due(event.time)) {
         probe->on_tick(event.time, merged.size() + 1, wakes_);
       }
-      if (debug_wakes && wakes_ % kDebugWakeEvery == 0) {
-        std::fprintf(stderr, "[engine] wakes=%llu t=%lld agent=%u queue=%zu\n",
-                     (unsigned long long)wakes_, (long long)event.time, event.agent,
-                     merged.size());
-      }
       const std::size_t s = event.agent % shard_count;
-      assert(shards[s].buffer.peek_agent(cursors[s]) == event.agent);
-      const stats::SimTime next = shards[s].buffer.replay_wake(cursors[s], fanout);
+      const RecordBuffer& buffer = shards[s].buffers[slot];
+      assert(buffer.peek_agent(cursors[s]) == event.agent);
+      const stats::SimTime next = buffer.replay_wake(cursors[s], fanout);
       if (next != RecordBuffer::kNoNextWake) merged.schedule(next, event.agent);
     }
     merge_span.set_args("wakes",
@@ -709,63 +710,62 @@ void Engine::run_sharded(const std::vector<RecordSink*>& sinks,
     if (rec != nullptr && merged.size() > queue_depth_hwm_) {
       queue_depth_hwm_ = merged.size();
     }
-    merge_total_s +=
-        std::chrono::duration<double>(Clock::now() - merge_start).count();
+    merge_wall_s_ += std::chrono::duration<double>(Clock::now() - merge_start).count();
     beat("run", stop);
 
-#ifndef NDEBUG
-    // The window boundary is a barrier: every wake a shard processed this
-    // window must have been replayed exactly once.
     for (std::size_t s = 0; s < shard_count; ++s) {
-      assert(cursors[s].wake == shards[s].buffer.wake_count());
-    }
-#endif
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      shards[s].buffer.clear();
+      // Every wake a shard processed this window must have been replayed
+      // exactly once.
+      assert(cursors[s].wake == shards[s].buffers[slot].wake_count());
+      shards[s].buffers[slot].clear();
       cursors[s] = RecordBuffer::Cursor{};
     }
 
-    // Fold the shards' private attempt ledgers into the model and, on a
-    // bucket boundary, roll the reject probabilities for the next bucket.
-    // This runs on the merge thread between pool.wait() and the next
-    // submit, so workers only ever see an immutable model — and ledger
-    // addition is commutative, so the fixed shard order cannot differ from
-    // the single-threaded total.
-    if (congestion != nullptr) {
-      obs::TraceSpan absorb_span(rec, kTrack, obs::TraceCat::kCongestion,
-                                 "congestion_merge");
-      for (auto& shard : shards) congestion->absorb(shard.ledger);
-      absorb_span.set_args(
-          "pending", static_cast<std::int64_t>(congestion->pending_attempts()),
-          "sim_stop", stop);
-      if (stop % bucket_s == 0) congestion->roll_to(stop);
-    }
-
-    // Shutdown requests are honoured at barriers only — mid-window the
-    // shard agents have advanced past the merge point, so barrier state is
-    // the only consistent snapshot state in sharded mode.
-    if ((stop_time >= 0 && stop == stop_time) || ckpt::shutdown_requested()) {
-      interrupted_ = true;
-      break;
-    }
-    window_start = stop;
-    if (stop >= horizon_end) {
-      reached_horizon = true;
-      break;
-    }
-    // Congestion bucket boundaries subdivide cadence windows; only cadence
-    // multiples get a snapshot (exactly the pre-congestion stop set).
-    if (cadence_s > 0 && stop % cadence_s == 0) {
-      if (config_.metrics != nullptr) {
-        // Snapshot the registry the single-threaded path would have at this
-        // barrier: main contents plus every shard's delta so far.
-        obs::MetricsRegistry barrier_view = *config_.metrics;
-        for (const auto& shard : shards) barrier_view.merge_from(shard.metrics);
-        write_checkpoint(stop, merged, &barrier_view);
-      } else {
-        write_checkpoint(stop, merged, nullptr);
+    if (drain) {
+      // Fold the shards' private attempt ledgers into the model and, on a
+      // bucket boundary, roll the reject probabilities for the next bucket.
+      // No window is in flight, so workers only ever see an immutable
+      // model — and ledger addition is commutative, so the fixed shard
+      // order cannot differ from the single-threaded total.
+      if (congestion != nullptr) {
+        obs::TraceSpan absorb_span(rec, kTrack, obs::TraceCat::kCongestion,
+                                   "congestion_merge");
+        for (auto& shard : shards) congestion->absorb(shard.ledger);
+        absorb_span.set_args(
+            "pending", static_cast<std::int64_t>(congestion->pending_attempts()),
+            "sim_stop", stop);
+        if (stop % bucket_s == 0) congestion->roll_to(stop);
       }
+
+      // Shutdown requests are honoured at drained barriers only — mid-window
+      // (or with the next window in flight) the shard agents have advanced
+      // past the merge point, so a drained barrier is the only consistent
+      // snapshot state in sharded mode.
+      if ((stop_time >= 0 && stop == stop_time) || ckpt::shutdown_requested()) {
+        interrupted_ = true;
+        break;
+      }
+      if (stop >= horizon_end) {
+        reached_horizon = true;
+        break;
+      }
+      // Congestion bucket and midnight boundaries subdivide cadence
+      // windows; only cadence multiples get a snapshot.
+      if (cadence_s > 0 && stop % cadence_s == 0) {
+        if (config_.metrics != nullptr) {
+          // Snapshot the registry the single-threaded path would have at
+          // this barrier: main contents plus every shard's delta so far.
+          obs::MetricsRegistry barrier_view = *config_.metrics;
+          for (const auto& shard : shards) barrier_view.merge_from(shard.metrics);
+          write_checkpoint(stop, merged, &barrier_view);
+        } else {
+          write_checkpoint(stop, merged, nullptr);
+        }
+      }
+      launch(next_stop, slot ^ 1);
     }
+    stop = next_stop;
+    slot ^= 1;
   }
 
   if (reached_horizon) {
@@ -775,13 +775,14 @@ void Engine::run_sharded(const std::vector<RecordSink*>& sinks,
     if (probe != nullptr) probe->end_run(last_time_, merged.size(), wakes_);
   }
 
-  merge_wall_s_ = merge_total_s;
   shard_wakes_.resize(shard_count);
   wheel_rebases_ = merged.rebases();
   for (std::size_t s = 0; s < shard_count; ++s) {
     shard_wakes_[s] = shards[s].wakes;
     wheel_rebases_ += shard_queues[s].rebases();
-    record_buffer_peak_bytes_ += shards[s].buffer.resident_bytes();
+    for (const auto& buffer : shards[s].buffers) {
+      record_buffer_peak_bytes_ += buffer.resident_bytes();
+    }
     if (config_.metrics != nullptr) config_.metrics->merge_from(shards[s].metrics);
   }
   if (trace_ != nullptr) {

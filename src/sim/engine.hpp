@@ -17,6 +17,12 @@
 //    fault schedule. Agents never interact (each owns a forked RNG; World,
 //    NetworkSelector and OutcomePolicy are consulted read-only), which is
 //    what makes the shard loops embarrassingly parallel.
+//    The run is a two-stage pipeline over sim-day windows (cut earlier at
+//    checkpoint-cadence, congestion-bucket and stop boundaries): each shard
+//    owns two buffers, and while the pool simulates window w+1 into one,
+//    the calling thread merges window w out of the other. Barriers that
+//    need the shards parked — snapshots, stop/shutdown, and every window
+//    of a run with a CongestionModel — drain the pipeline first.
 
 #include <memory>
 #include <stdexcept>
@@ -136,7 +142,7 @@ class Engine {
     /// path — output stays byte-identical to a build without the
     /// subsystem. With cadence on, a snapshot is written atomically to
     /// `checkpoint_path` at every cadence boundary; in sharded mode the
-    /// boundaries double as merge barriers, so the snapshot is
+    /// boundaries are drained merge barriers, so the snapshot is
     /// thread-count-independent (threads=1 and threads=N write
     /// bit-identical snapshots at the same boundary).
     std::int64_t checkpoint_every_sim_hours = 0;
@@ -279,10 +285,12 @@ class Engine {
   [[nodiscard]] const std::vector<double>& shard_busy_s() const noexcept {
     return shard_busy_s_;
   }
-  /// Wall seconds spent with shard windows in flight (fan-out to barrier).
+  /// Wall seconds spent with shard windows in flight, summed over windows
+  /// (launch to the pool.wait() that ends each window; under the pipeline
+  /// this includes the overlapped merge of the previous window).
   [[nodiscard]] double window_wall_s() const noexcept { return window_wall_s_; }
   /// Sum over windows of (slowest shard busy - fastest shard busy): the
-  /// wall time the barrier spent waiting on stragglers.
+  /// wall time the fastest shard sat idle waiting on the slowest.
   [[nodiscard]] double merge_wait_skew_s() const noexcept { return merge_wait_skew_s_; }
   /// High-water mark of event-queue depth observed at sampling points.
   [[nodiscard]] std::uint64_t queue_depth_hwm() const noexcept { return queue_depth_hwm_; }
@@ -292,7 +300,8 @@ class Engine {
 
   void run_single(const std::vector<RecordSink*>& sinks);
   void run_sharded(const std::vector<RecordSink*>& sinks, std::size_t shard_count);
-  void run_shard_window(Shard& shard, EventQueue& queue, stats::SimTime stop);
+  void run_shard_window(Shard& shard, EventQueue& queue, RecordBuffer& buffer,
+                        stats::SimTime stop);
   void finish_run_metrics();
   /// Rate-limited heartbeat write (no-op when no heartbeat is configured).
   void beat(const char* phase, stats::SimTime sim_now, bool force = false);

@@ -80,8 +80,9 @@ class RecordBuffer final : public RecordSink {
   void end_wake(AgentIndex agent, stats::SimTime next_wake);
 
   /// Drop all buffered records and wake boundaries (capacity retained).
-  /// The checkpointing engine calls this after replaying each window so
-  /// arena memory stays bounded by one window instead of the whole run.
+  /// The sharded engine calls this after replaying each window, so arena
+  /// memory stays bounded by one window (at most one sim day) instead of
+  /// the whole run.
   void clear() noexcept {
     tape_.clear();
     signaling_.clear();

@@ -5,6 +5,11 @@
 // exact string equality between threads=1 and threads∈{2,8} — across all
 // three scenarios and under a non-empty FaultSchedule.
 //
+// The sharded engine pipelines sim-day windows (shards simulate day d+1
+// while the merge replays day d); the pipeline tests below pin down a
+// shutdown that lands with a window in flight and the one-day bound on the
+// record buffers.
+//
 // Manifests are compared with timers detached: phase wall-times are the
 // one inherently volatile manifest section (they measure the host, not the
 // simulation), so "manifest byte-identity" means everything else —
@@ -14,9 +19,12 @@
 
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <stdexcept>
 #include <string>
 
+#include "ckpt/shutdown.hpp"
+#include "ckpt/snapshot.hpp"
 #include "obs/observability.hpp"
 #include "obs/run_manifest.hpp"
 #include "stats/sim_time.hpp"
@@ -36,12 +44,16 @@ std::string hex_double(double v) {
   return buf;
 }
 
-class StreamSerializer final : public sim::RecordSink {
+/// Serializes every record; its checkpointed state is the stream length, so
+/// a resumed run truncates to the snapshot point and appends from there.
+class StreamSerializer final : public sim::RecordSink, public ckpt::Checkpointable {
  public:
   std::string stream;
+  stats::SimTime last_signaling_time = -1;
 
   void on_signaling(const signaling::SignalingTransaction& txn,
                     bool data_context) override {
+    last_signaling_time = txn.time;
     stream += "S:";
     for (const auto& field : signaling::to_csv_fields(txn)) {
       stream += field;
@@ -81,6 +93,15 @@ class StreamSerializer final : public sim::RecordSink {
     stream += ',';
     stream += hex_double(seconds);
     stream += '\n';
+  }
+
+  void save_state(util::BinWriter& out) const override { out.u64(stream.size()); }
+  void restore_state(util::BinReader& in) override {
+    const auto size = in.u64();
+    if (size > stream.size()) {
+      throw std::runtime_error("stream shorter than checkpointed offset");
+    }
+    stream.resize(size);
   }
 };
 
@@ -149,17 +170,23 @@ RunCapture capture(Scenario& scenario, const obs::RunObservation& observation) {
   return cap;
 }
 
-RunCapture run_mno(unsigned threads, const faults::FaultSchedule* faults = nullptr,
-                   bool backoff = false) {
-  obs::RunObservation observation;
+tracegen::MnoScenarioConfig mno_config(unsigned threads,
+                                       obs::RunObservation& observation) {
   tracegen::MnoScenarioConfig config;
   config.seed = 42;
   config.total_devices = 600;
   config.threads = threads;
   config.build_coverage = false;
+  config.obs = observation.view();
+  return config;
+}
+
+RunCapture run_mno(unsigned threads, const faults::FaultSchedule* faults = nullptr,
+                   bool backoff = false) {
+  obs::RunObservation observation;
+  auto config = mno_config(threads, observation);
   config.faults = faults;
   config.backoff.enabled = backoff;
-  config.obs = observation.view();
   tracegen::MnoScenario scenario{config};
   return capture(scenario, observation);
 }
@@ -288,6 +315,105 @@ TEST(ParallelEngine, ThreadsClampToAgentCount) {
   StreamSerializer sink;
   scenario.run({&sink});
   EXPECT_LE(scenario.engine().shards_used(), scenario.engine().agent_count());
+}
+
+// --- day pipeline -----------------------------------------------------------
+
+/// Requests a graceful shutdown from the merge thread once the replayed
+/// stream reaches sim time `at`. By then the pipeline has already launched
+/// the next day's window on the pool.
+class ShutdownAt final : public sim::RecordSink {
+ public:
+  explicit ShutdownAt(stats::SimTime at) : at_(at) {}
+  void on_signaling(const signaling::SignalingTransaction& txn, bool) override {
+    if (txn.time >= at_) ckpt::request_shutdown();
+  }
+  void on_cdr(const records::Cdr&) override {}
+  void on_xdr(const records::Xdr&) override {}
+  void on_dwell(signaling::DeviceHash, std::int32_t, cellnet::Plmn,
+                const cellnet::GeoPoint&, double) override {}
+
+ private:
+  stats::SimTime at_;
+};
+
+/// Clears the process-wide shutdown flag on entry and exit, so a failing
+/// assertion cannot leak a pending shutdown into later tests.
+struct ShutdownFlagGuard {
+  ShutdownFlagGuard() { ckpt::reset_shutdown_flag(); }
+  ~ShutdownFlagGuard() { ckpt::reset_shutdown_flag(); }
+};
+
+TEST(ParallelEngine, ShutdownWithWindowInFlightResumesByteIdentical) {
+  const ShutdownFlagGuard guard;
+  const auto golden = run_mno(1);
+  ASSERT_FALSE(golden.stream.empty());
+
+  const auto dir = std::filesystem::temp_directory_path() / "wtr_test_parallel_shutdown";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string ckpt = (dir / "ckpt.bin").string();
+
+  // Phase 1: the shutdown lands mid-day 5, while day 6 is being simulated.
+  // The run must finish the in-flight window and stop at the next drained
+  // barrier, midnight of day 7.
+  std::string partial;
+  {
+    obs::RunObservation observation;
+    auto config = mno_config(4, observation);
+    config.ckpt.path = ckpt;
+    tracegen::MnoScenario scenario{config};
+    StreamSerializer sink;
+    scenario.engine().register_checkpointable("stream", &sink);
+    ShutdownAt trigger{stats::day_start(5) + 12 * stats::kSecondsPerHour};
+    scenario.run({&sink, &trigger});
+    ASSERT_TRUE(scenario.engine().interrupted());
+    ASSERT_TRUE(std::filesystem::exists(ckpt));
+    EXPECT_GT(sink.last_signaling_time, stats::day_start(6));
+    EXPECT_LE(sink.last_signaling_time, stats::day_start(7));
+    partial = sink.stream;
+  }
+  ckpt::reset_shutdown_flag();
+  ASSERT_LT(partial.size(), golden.stream.size());
+  EXPECT_EQ(partial, golden.stream.substr(0, partial.size()));
+
+  // Phase 2: rebuild, restore, run to the horizon.
+  obs::RunObservation observation;
+  tracegen::MnoScenario scenario{mno_config(4, observation)};
+  StreamSerializer sink;
+  sink.stream = partial;
+  scenario.engine().register_checkpointable("stream", &sink);
+  scenario.resume_from(ckpt);
+  scenario.run({&sink});
+  EXPECT_FALSE(scenario.engine().interrupted());
+  EXPECT_EQ(sink.stream, golden.stream);
+  EXPECT_EQ(dump_metrics(observation.metrics()), golden.metrics);
+  EXPECT_EQ(dump_probe(observation.probe()), golden.probe);
+  std::filesystem::remove_all(dir);
+}
+
+/// trace.record_buffer_peak_bytes of a traced threads=4 MNO run.
+double record_buffer_peak_bytes(std::int32_t days) {
+  obs::RunObservation observation;
+  auto config = mno_config(4, observation);
+  config.days = days;
+  const auto trace = std::filesystem::temp_directory_path() /
+                     ("wtr_test_parallel_buffers_" + std::to_string(days) + ".json");
+  config.telemetry.trace_path = trace.string();
+  tracegen::MnoScenario scenario{config};
+  scenario.run({});
+  std::filesystem::remove(trace);
+  return observation.metrics().gauges().at("trace.record_buffer_peak_bytes").value();
+}
+
+TEST(ParallelEngine, RecordBuffersBoundedByOneDay) {
+  // Each shard buffers at most one sim-day window per slot, so the peak
+  // must not grow with the horizon.
+  const double short_run = record_buffer_peak_bytes(4);
+  const double long_run = record_buffer_peak_bytes(16);
+  ASSERT_GT(short_run, 0.0);
+  EXPECT_LE(long_run, 1.5 * short_run) << "4 days: " << short_run
+                                       << " B, 16 days: " << long_run << " B";
 }
 
 // --- ThreadPool unit tests --------------------------------------------------
