@@ -68,9 +68,9 @@ PipelineRun run_pipeline_once(unsigned threads, obs::RunObservation& observation
   scenario->run({&accumulator});
 
   if (scenario->engine().interrupted()) {
-    // Graceful SIGINT/SIGTERM stop: the engine returned at a wake boundary,
-    // so every record produced so far has already been delivered to the
-    // accumulator — nothing buffered is lost. Skip the analysis phases;
+    // Graceful SIGINT/SIGTERM stop: the engine returned at a window
+    // barrier, so every record produced so far has already been delivered
+    // to the accumulator — nothing buffered is lost. Skip the analysis phases;
     // the caller writes a *.partial manifest instead of the real one.
     PipelineRun run;
     run.scenario = std::move(scenario);

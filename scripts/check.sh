@@ -124,6 +124,15 @@ python3 scripts/validate_trace.py "$trace_tmp/mno/trace.json" \
   --require-span merge
 echo "check.sh: traced overlapped MNO run exports Perfetto-loadable JSON"
 
+# At threads=1 the same window driver runs its one shard inline into the
+# sinks: one shard track with the same window spans, and no merge.
+mkdir -p "$trace_tmp/mno-t1"
+"$build_dir/tests/wtr_ckpt_harness" --out "$trace_tmp/mno-t1" --scenario mno \
+  --devices 400 --days 6 --threads 1 --trace "$trace_tmp/mno-t1/trace.json"
+python3 scripts/validate_trace.py "$trace_tmp/mno-t1/trace.json" \
+  --min-shards 1 --require-span shard_window --require-span shard_fanout
+echo "check.sh: traced threads=1 MNO run exports Perfetto-loadable JSON"
+
 # Hung child: beats once, then stalls forever on attempt 1; attempt 2 (after
 # the supervisor SIGKILLs it) exits clean. The supervisor must detect the
 # stale heartbeat, kill, restart without backoff, and exit 0.

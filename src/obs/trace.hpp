@@ -33,7 +33,7 @@ namespace wtr::obs {
 /// Event category, exported as the Chrome trace "cat" field (Perfetto's
 /// track filter box keys on it).
 enum class TraceCat : std::uint8_t {
-  kEngine,      // event-loop windows, wake batches
+  kEngine,      // engine-level events (the default category)
   kShard,       // per-shard loop windows
   kMerge,       // deterministic k-way merge + barrier fan-out
   kCheckpoint,  // snapshot serialize / write / fsync

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <limits>
 #include <string>
+#include <type_traits>
 
 #include "ckpt/shutdown.hpp"
 #include "obs/engine_probe.hpp"
@@ -16,21 +17,10 @@
 
 namespace wtr::sim {
 
-namespace {
-
-/// Wake cadences for flight-recorder instants and heartbeat refresh checks
-/// in the single-threaded loop (power-of-two masks; the sharded path uses
-/// window barriers instead). 8192 wakes between trace instants keeps a
-/// 32k-slot ring covering hundreds of millions of wakes.
-constexpr std::uint64_t kTraceWakeMask = (1u << 13) - 1;
-constexpr std::uint64_t kBeatWakeMask = (1u << 10) - 1;
-
-}  // namespace
-
-/// Everything one shard's event loop owns: two record arenas (the pipeline
-/// fills one while the merge replays the other), its wake count, and — when
-/// metrics are on — a private registry fed by a private OutcomePolicy
-/// clone, so shard loops never touch shared counters.
+/// Everything one shard's event loop owns: two record arenas (at K>1 the
+/// pipeline fills one while the merge replays the other; K=1 uses neither),
+/// its wake count, and — when metrics are on — a private registry fed by a
+/// private OutcomePolicy clone, so shard loops never touch shared counters.
 struct Engine::Shard {
   Shard(const signaling::OutcomePolicyConfig& outcome_config,
         const faults::FaultSchedule* faults, obs::MetricsRegistry* main_metrics,
@@ -62,10 +52,6 @@ Engine::Engine(const topology::World& world, Config config)
     : world_(world),
       config_(config),
       selector_(world),
-      congestion_ledger_(config.congestion != nullptr ? config.congestion->op_count()
-                                                      : 0),
-      outcomes_(config.outcomes, config.faults, config.metrics, config.congestion,
-                config.congestion != nullptr ? &congestion_ledger_ : nullptr),
       rng_(config.seed) {
   // The recorder exists from construction so sinks registered before run()
   // can borrow it. One track per configured thread plus the engine track;
@@ -98,22 +84,16 @@ void Engine::add_fleet(std::vector<devices::Device> fleet, AgentOptions options)
   // Geometric-floor reservation: the old per-fleet exact reserve here
   // reallocated (and copied) the whole agent store on every add_fleet call.
   arena_.reserve_additional(fleet.size());
-  queue_.reserve(arena_.size() + fleet.size());
   const std::uint32_t options_id = arena_.intern_options(std::move(options));
   for (auto& device : fleet) {
     // Clamp the device's window to the engine horizon.
     device.departure_day = std::min(device.departure_day, config_.horizon_days);
     // Same per-device RNG discipline as the historical eager path: the fork
-    // tag counts *kept* agents, and empty-window devices draw nothing.
-    const auto first = arena_.register_device(std::move(device), options_id,
-                                              rng_.fork(arena_.size() + 1));
-    if (first) {
-      queue_.schedule(*first, static_cast<AgentIndex>(arena_.size() - 1));
-    }
+    // tag counts *kept* agents, and empty-window devices draw nothing. The
+    // arena keeps each kept agent's first wake; run() seeds the queues.
+    arena_.register_device(std::move(device), options_id,
+                           rng_.fork(arena_.size() + 1));
   }
-  // Every registered agent holds exactly one scheduled event until the run
-  // consumes the queue — the invariant the old reserve math approximated.
-  assert(queue_.size() == arena_.size());
 }
 
 std::uint64_t Engine::fleet_fingerprint() const {
@@ -173,16 +153,7 @@ void Engine::write_checkpoint(stats::SimTime resume_time, const EventQueue& queu
   }
 
   payload.u64(arena_.size());
-  if (config_.snapshot_format >= 3) {
-    // v3: hydration flag per agent, state for hydrated agents only.
-    arena_.save_state(payload);
-  } else {
-    // Legacy v2 layout (no flags, every agent's state): hydrate the full
-    // arena first. Hydration is behavior-neutral — a hydrated dormant
-    // agent produces exactly the records it would have produced waking
-    // from the dormant tier — so opting into v2 costs memory, not output.
-    for (std::size_t i = 0; i < arena_.size(); ++i) arena_.agent(i).save_state(payload);
-  }
+  arena_.save_state(payload);  // hydration flag per agent, state if hydrated
 
   payload.b(metrics_view != nullptr);
   if (metrics_view != nullptr) metrics_view->save_state(payload);
@@ -203,8 +174,7 @@ void Engine::write_checkpoint(stats::SimTime resume_time, const EventQueue& queu
 
   serialize_span.close();
   ckpt::write_snapshot_atomic(config_.checkpoint_path, payload.bytes(),
-                              trace_.get(), obs::FlightRecorder::kEngineTrack,
-                              config_.snapshot_format);
+                              trace_.get(), obs::FlightRecorder::kEngineTrack);
   ++checkpoints_written_;
   last_checkpoint_time_ = resume_time;
   checkpoint_wall_s_ +=
@@ -216,8 +186,8 @@ void Engine::resume_from(const std::string& path) {
   if (ran_) {
     throw std::logic_error("sim::Engine::resume_from: engine already ran");
   }
-  const ckpt::Snapshot snapshot = ckpt::read_snapshot_versioned(path);
-  util::BinReader in(snapshot.payload);
+  const std::string payload = ckpt::read_snapshot(path);
+  util::BinReader in(payload);
 
   const auto fingerprint = in.u64();
   if (fingerprint != fleet_fingerprint()) {
@@ -251,11 +221,7 @@ void Engine::resume_from(const std::string& path) {
         " agents but the rebuilt engine has " + std::to_string(arena_.size()));
   }
   arena_.freeze();
-  if (snapshot.version >= 3) {
-    arena_.restore_state(in);  // hydration-flagged arena section
-  } else {
-    arena_.restore_state_all(in);  // legacy: every agent saved
-  }
+  arena_.restore_state(in);
 
   const bool has_metrics = in.b();
   if (has_metrics != (config_.metrics != nullptr)) {
@@ -303,13 +269,6 @@ void Engine::resume_from(const std::string& path) {
   }
   in.expect_exhausted("engine snapshot " + path);
 
-  // Replace the add_fleet initial schedule with the snapshot's pending
-  // events (single-threaded path runs straight off queue_; the sharded path
-  // re-partitions resume_events_ itself).
-  queue_ = EventQueue{};
-  queue_.reserve(resume_events_.size());
-  for (const auto& [time, agent] : resume_events_) queue_.schedule(time, agent);
-
   resumed_ = true;
   resumed_from_ = path;
 }
@@ -321,21 +280,13 @@ void Engine::run(std::vector<RecordSink*> sinks) {
         "second run (the event queue is consumed)");
   }
   ran_ = true;
-  if (config_.snapshot_format != 2 && config_.snapshot_format != ckpt::kSnapshotVersion) {
-    throw std::logic_error("sim::Engine::run: unsupported snapshot_format " +
-                           std::to_string(config_.snapshot_format));
-  }
   arena_.freeze();
   beat(resumed_ ? "resume" : "init", resumed_ ? resume_time_ : 0,
        /*force=*/true);
 
   const std::size_t shard_count = std::min<std::size_t>(
       std::max(1u, config_.threads), std::max<std::size_t>(1, arena_.size()));
-  if (shard_count <= 1) {
-    run_single(sinks);
-  } else {
-    run_sharded(sinks, shard_count);
-  }
+  run_windows(sinks, shard_count);
   // An interrupted run withholds the run-summary metrics: the resumed
   // process emits them once at its own completion, so the resumed dump is
   // byte-identical to an uninterrupted run's (engine.runs stays 1).
@@ -375,144 +326,27 @@ void Engine::finish_telemetry() {
   beat(interrupted_ ? "interrupted" : "done", last_time_, /*force=*/true);
 }
 
-void Engine::run_single(const std::vector<RecordSink*>& sinks) {
-  MultiSink fanout;
-  for (auto* sink : sinks) fanout.add(sink);
+void Engine::count_wake(stats::SimTime time, std::size_t pending) {
+  ++wakes_;
+  last_time_ = time;
   obs::EngineProbe* probe = config_.probe;
-  if (probe != nullptr) {
-    fanout.add(probe);
-    if (!resumed_) {
-      probe->begin_run(config_.faults, queue_.size());
-    } else {
-      // The probe trajectory was restored from the snapshot; only the
-      // borrowed schedule pointer needs re-binding in this process.
-      probe->rebind_faults(config_.faults);
-    }
+  if (probe != nullptr && probe->due(time)) {
+    // +1: the popped event is still in flight at the sample instant.
+    probe->on_tick(time, pending + 1, wakes_);
   }
-
-  AgentContext ctx;
-  ctx.world = &world_;
-  ctx.selector = &selector_;
-  ctx.outcomes = &outcomes_;
-  ctx.sink = &fanout;
-
-  const stats::SimTime horizon_end = stats::day_start(config_.horizon_days);
-  const stats::SimTime cadence_s =
-      config_.checkpoint_every_sim_hours > 0
-          ? config_.checkpoint_every_sim_hours * stats::kSecondsPerHour
-          : 0;
-  stats::SimTime stop_time = -1;
-  if (config_.stop_after_sim_hours > 0) {
-    const stats::SimTime t = config_.stop_after_sim_hours * stats::kSecondsPerHour;
-    if (t < horizon_end) stop_time = t;
-  }
-  faults::CongestionModel* congestion = config_.congestion;
-  const stats::SimTime bucket_s =
-      congestion != nullptr ? congestion->config().bucket_s : 0;
-
-  obs::FlightRecorder* rec = trace_.get();
-  constexpr std::uint32_t kTrack = obs::FlightRecorder::kEngineTrack;
-  const bool beating = heartbeat_ != nullptr;
-
-  // The run is a sequence of checkpoint windows; without a cadence, a stop
-  // point or a shutdown request the single window covers the whole horizon
-  // and the loop below is step-for-step the legacy event loop.
-  stats::SimTime window_start = resumed_ ? resume_time_ : 0;
-  bool shutdown_hit = false;
-  while (true) {
-    stats::SimTime stop = horizon_end;
-    if (cadence_s > 0) {
-      stop = std::min(stop, (window_start / cadence_s + 1) * cadence_s);
-    }
-    if (bucket_s > 0) {
-      stop = std::min(stop, (window_start / bucket_s + 1) * bucket_s);
-    }
-    if (stop_time >= 0) stop = std::min(stop, stop_time);
-
-    obs::TraceSpan window_span(rec, kTrack, obs::TraceCat::kEngine, "window");
-    const std::uint64_t window_wakes_before = wakes_;
-    if (rec != nullptr && queue_.size() > queue_depth_hwm_) {
-      queue_depth_hwm_ = queue_.size();
-    }
-
-    while (!queue_.empty() && *queue_.next_time() <= stop) {
-      // With a congestion model installed, shutdown is honoured at window
-      // boundaries only (a window is at most one bucket of sim time) —
-      // snapshots then always land on absorbed-and-rolled bucket state,
-      // mirroring the sharded path's barrier-only rule.
-      if (congestion == nullptr && ckpt::shutdown_requested()) {
-        shutdown_hit = true;
-        break;
-      }
-      const Event event = queue_.pop();
-      ++wakes_;
-      last_time_ = event.time;
-      if (probe != nullptr && probe->due(event.time)) {
-        // +1: the popped event is still in flight at the sample instant.
-        probe->on_tick(event.time, queue_.size() + 1, wakes_);
-      }
-      if (rec != nullptr && (wakes_ & kTraceWakeMask) == 0) {
-        rec->instant(kTrack, obs::TraceCat::kEngine, "wake_batch", "wakes",
-                     static_cast<std::int64_t>(wakes_), "queue",
-                     static_cast<std::int64_t>(queue_.size()));
-        if (queue_.size() > queue_depth_hwm_) queue_depth_hwm_ = queue_.size();
-      }
-      if (beating && (wakes_ & kBeatWakeMask) == 0) {
-        beat("run", event.time);
-      }
-      auto& agent = arena_.agent(event.agent);
-      if (const auto next = agent.on_wake(event.time, ctx)) {
-        queue_.schedule(*next, event.agent);
-      }
-    }
-    window_span.set_args("wakes", static_cast<std::int64_t>(wakes_ - window_wakes_before),
-                         "sim_stop", stop);
-    window_span.close();
-
-    if (congestion != nullptr) {
-      obs::TraceSpan absorb_span(rec, kTrack, obs::TraceCat::kCongestion,
-                                 "congestion_absorb");
-      congestion->absorb(congestion_ledger_);
-      absorb_span.set_args(
-          "pending", static_cast<std::int64_t>(congestion->pending_attempts()),
-          "sim_stop", stop);
-      if (stop % bucket_s == 0) congestion->roll_to(stop);
-      if (ckpt::shutdown_requested()) shutdown_hit = true;
-    }
-
-    if (shutdown_hit || (stop_time >= 0 && stop == stop_time)) {
-      interrupted_ = true;
-      // A shutdown can land mid-window (congestion off only): the snapshot
-      // then resumes at the last processed event, which recomputes the same
-      // next cadence boundary the interrupted process was heading for.
-      const bool mid_window = shutdown_hit && congestion == nullptr;
-      write_checkpoint(mid_window ? last_time_ : stop, queue_, config_.metrics);
-      return;
-    }
-    window_start = stop;
-    if (stop >= horizon_end) break;
-    // Congestion bucket boundaries subdivide cadence windows; only cadence
-    // multiples get a snapshot (exactly the pre-congestion stop set).
-    if (cadence_s > 0 && stop % cadence_s == 0) {
-      write_checkpoint(stop, queue_, config_.metrics);
-    }
-  }
-
-  // The legacy loop popped (and discarded) the first beyond-horizon event
-  // before exiting; replicate so the final probe sample sees the same
-  // queue depth byte-for-byte.
-  if (!queue_.empty()) queue_.pop();
-  if (probe != nullptr) probe->end_run(last_time_, queue_.size(), wakes_);
-  wheel_rebases_ = queue_.rebases();
 }
 
-void Engine::run_shard_window(Shard& shard, EventQueue& queue,
-                              RecordBuffer& buffer, stats::SimTime stop) {
+template <typename Sink>
+void Engine::run_shard_window(Shard& shard, EventQueue& queue, Sink& sink,
+                              stats::SimTime stop) {
+  // At K>1 the records are buffered, and the merge replays them in global
+  // order; at K=1 this queue is the global queue and the sink is the fan-out.
+  constexpr bool kBuffered = std::is_same_v<Sink, RecordBuffer>;
   AgentContext ctx;
   ctx.world = &world_;
   ctx.selector = &selector_;
   ctx.outcomes = &shard.outcomes;
-  ctx.sink = &buffer;
+  ctx.sink = &sink;
 
   // Shard-thread-side telemetry: this thread is the sole writer of
   // shard.track and of the shard's busy/hwm fields; the pool.wait() that
@@ -526,11 +360,14 @@ void Engine::run_shard_window(Shard& shard, EventQueue& queue,
   while (!queue.empty() && *queue.next_time() <= stop) {
     const Event event = queue.pop();
     ++shard.wakes;
+    if constexpr (!kBuffered) count_wake(event.time, queue.size());
     // Shards partition agents by index, so hydration targets disjoint
     // arena slots — no synchronization needed.
     auto& agent = arena_.agent(event.agent);
     const auto next = agent.on_wake(event.time, ctx);
-    buffer.end_wake(event.agent, next ? *next : RecordBuffer::kNoNextWake);
+    if constexpr (kBuffered) {
+      sink.end_wake(event.agent, next ? *next : RecordBuffer::kNoNextWake);
+    }
     if (next) queue.schedule(*next, event.agent);
   }
 
@@ -544,9 +381,10 @@ void Engine::run_shard_window(Shard& shard, EventQueue& queue,
   }
 }
 
-void Engine::run_sharded(const std::vector<RecordSink*>& sinks,
+void Engine::run_windows(const std::vector<RecordSink*>& sinks,
                          std::size_t shard_count) {
   using Clock = std::chrono::steady_clock;
+  const bool sharded = shard_count > 1;
 
   MultiSink fanout;
   for (auto* sink : sinks) fanout.add(sink);
@@ -554,10 +392,11 @@ void Engine::run_sharded(const std::vector<RecordSink*>& sinks,
   if (probe != nullptr) {
     fanout.add(probe);
     if (!resumed_) {
-      // queue_ still holds exactly the initial events (one per agent), so
-      // the reported initial depth matches the single-threaded path.
-      probe->begin_run(config_.faults, queue_.size());
+      // Every agent holds exactly one pending event at the start.
+      probe->begin_run(config_.faults, arena_.size());
     } else {
+      // The probe trajectory was restored from the snapshot; only the
+      // borrowed schedule pointer needs re-binding in this process.
       probe->rebind_faults(config_.faults);
     }
   }
@@ -578,25 +417,26 @@ void Engine::run_sharded(const std::vector<RecordSink*>& sinks,
   // Shard queues persist across windows: pending events carry over; only
   // the record arenas are drained per window. Initial schedule in
   // ascending agent index — the merge replay relies on this matching the
-  // global add_fleet order restricted to each shard. On resume the
-  // snapshot's pending events (already in global pop order) re-partition
-  // the same way.
+  // global order restricted to each shard. On resume the snapshot's
+  // pending events (already in global pop order) re-partition the same
+  // way. At K=1 shard 0's queue is the global queue; at K>1 the merge
+  // replays the global order in `merged`.
   std::vector<EventQueue> shard_queues(shard_count);
   for (auto& queue : shard_queues) queue.reserve(arena_.size() / shard_count + 1);
   EventQueue merged;
-  merged.reserve(arena_.size());
+  if (sharded) merged.reserve(arena_.size());
+  const auto enqueue = [&](stats::SimTime time, AgentIndex agent) {
+    shard_queues[agent % shard_count].schedule(time, agent);
+    if (sharded) merged.schedule(time, agent);
+  };
   if (!resumed_) {
     for (std::size_t i = 0; i < arena_.size(); ++i) {
-      shard_queues[i % shard_count].schedule(arena_.first_wake(i),
-                                             static_cast<AgentIndex>(i));
-      merged.schedule(arena_.first_wake(i), static_cast<AgentIndex>(i));
+      enqueue(arena_.first_wake(i), static_cast<AgentIndex>(i));
     }
   } else {
-    for (const auto& [time, agent] : resume_events_) {
-      shard_queues[agent % shard_count].schedule(time, agent);
-      merged.schedule(time, agent);
-    }
+    for (const auto& [time, agent] : resume_events_) enqueue(time, agent);
   }
+  EventQueue& global = sharded ? merged : shard_queues[0];
 
   const stats::SimTime horizon_end = stats::day_start(config_.horizon_days);
   const stats::SimTime cadence_s =
@@ -624,11 +464,12 @@ void Engine::run_sharded(const std::vector<RecordSink*>& sinks,
     return stop;
   };
 
-  util::ThreadPool pool(shard_count);
+  // Zero workers at K=1: submitted windows run inline in pool.wait().
+  util::ThreadPool pool(sharded ? shard_count : 0);
   std::vector<double> busy_before(shard_count, 0.0);
   std::int64_t launch_ns = 0;
   // Start every shard on the window ending at `stop`, recording into its
-  // buffer `slot`. Called only with no window in flight, so the busy
+  // buffer `slot` (K>1). Called only with no window in flight, so the busy
   // counters read here are quiescent.
   const auto launch = [&](stats::SimTime stop, std::size_t slot) {
     if (rec != nullptr) {
@@ -638,14 +479,21 @@ void Engine::run_sharded(const std::vector<RecordSink*>& sinks,
     for (std::size_t s = 0; s < shard_count; ++s) {
       Shard* shard = &shards[s];
       EventQueue* queue = &shard_queues[s];
-      pool.submit([this, shard, queue, slot, stop] {
-        run_shard_window(*shard, *queue, shard->buffers[slot], stop);
-      });
+      if (sharded) {
+        pool.submit([this, shard, queue, slot, stop] {
+          run_shard_window(*shard, *queue, shard->buffers[slot], stop);
+        });
+      } else {
+        pool.submit([this, shard, queue, &fanout, stop] {
+          run_shard_window(*shard, *queue, fanout, stop);
+        });
+      }
     }
   };
 
-  // Two-stage pipeline over windows: while the pool runs window w+1 into
-  // one buffer slot, this thread replays window w out of the other.
+  // Two-stage pipeline over windows at K>1: while the pool runs window w+1
+  // into one buffer slot, this thread replays window w out of the other.
+  // At K=1 a window launched early simply runs at the next pool.wait().
   std::vector<RecordBuffer::Cursor> cursors(shard_count);
   stats::SimTime stop = window_stop(resumed_ ? resume_time_ : 0);
   std::size_t slot = 0;
@@ -682,51 +530,48 @@ void Engine::run_sharded(const std::vector<RecordSink*>& sinks,
     const stats::SimTime next_stop = window_stop(stop);
     if (!drain) launch(next_stop, slot ^ 1);
 
-    // --- Deterministic k-way merge of this window ---------------------------
-    // Rebuild the exact single-threaded pop order by replaying the
-    // schedule: each replayed wake re-schedules its recorded next wake at
-    // pop time, reproducing the global seq assignment without re-running
-    // any agent.
-    const auto merge_start = Clock::now();
-    obs::TraceSpan merge_span(rec, kTrack, obs::TraceCat::kMerge, "merge");
-    const std::uint64_t merge_wakes_before = wakes_;
-    while (!merged.empty() && *merged.next_time() <= stop) {
-      const Event event = merged.pop();
-      ++wakes_;
-      last_time_ = event.time;
-      if (probe != nullptr && probe->due(event.time)) {
-        probe->on_tick(event.time, merged.size() + 1, wakes_);
+    if (sharded) {
+      // --- Deterministic k-way merge of this window -------------------------
+      // Rebuild the exact K=1 pop order by replaying the schedule: each
+      // replayed wake re-schedules its recorded next wake at pop time,
+      // reproducing the global seq assignment without re-running any agent.
+      const auto merge_start = Clock::now();
+      obs::TraceSpan merge_span(rec, kTrack, obs::TraceCat::kMerge, "merge");
+      const std::uint64_t merge_wakes_before = wakes_;
+      while (!merged.empty() && *merged.next_time() <= stop) {
+        const Event event = merged.pop();
+        count_wake(event.time, merged.size());
+        const std::size_t s = event.agent % shard_count;
+        const RecordBuffer& buffer = shards[s].buffers[slot];
+        assert(buffer.peek_agent(cursors[s]) == event.agent);
+        const stats::SimTime next = buffer.replay_wake(cursors[s], fanout);
+        if (next != RecordBuffer::kNoNextWake) merged.schedule(next, event.agent);
       }
-      const std::size_t s = event.agent % shard_count;
-      const RecordBuffer& buffer = shards[s].buffers[slot];
-      assert(buffer.peek_agent(cursors[s]) == event.agent);
-      const stats::SimTime next = buffer.replay_wake(cursors[s], fanout);
-      if (next != RecordBuffer::kNoNextWake) merged.schedule(next, event.agent);
-    }
-    merge_span.set_args("wakes",
-                        static_cast<std::int64_t>(wakes_ - merge_wakes_before),
-                        "sim_stop", stop);
-    merge_span.close();
-    if (rec != nullptr && merged.size() > queue_depth_hwm_) {
-      queue_depth_hwm_ = merged.size();
-    }
-    merge_wall_s_ += std::chrono::duration<double>(Clock::now() - merge_start).count();
-    beat("run", stop);
+      merge_span.set_args("wakes",
+                          static_cast<std::int64_t>(wakes_ - merge_wakes_before),
+                          "sim_stop", stop);
+      merge_span.close();
+      merge_wall_s_ += std::chrono::duration<double>(Clock::now() - merge_start).count();
 
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      // Every wake a shard processed this window must have been replayed
-      // exactly once.
-      assert(cursors[s].wake == shards[s].buffers[slot].wake_count());
-      shards[s].buffers[slot].clear();
-      cursors[s] = RecordBuffer::Cursor{};
+      for (std::size_t s = 0; s < shard_count; ++s) {
+        // Every wake a shard processed this window must have been replayed
+        // exactly once.
+        assert(cursors[s].wake == shards[s].buffers[slot].wake_count());
+        shards[s].buffers[slot].clear();
+        cursors[s] = RecordBuffer::Cursor{};
+      }
     }
+    if (rec != nullptr && global.size() > queue_depth_hwm_) {
+      queue_depth_hwm_ = global.size();
+    }
+    beat("run", stop);
 
     if (drain) {
       // Fold the shards' private attempt ledgers into the model and, on a
       // bucket boundary, roll the reject probabilities for the next bucket.
       // No window is in flight, so workers only ever see an immutable
       // model — and ledger addition is commutative, so the fixed shard
-      // order cannot differ from the single-threaded total.
+      // order cannot differ from the K=1 total.
       if (congestion != nullptr) {
         obs::TraceSpan absorb_span(rec, kTrack, obs::TraceCat::kCongestion,
                                    "congestion_merge");
@@ -740,7 +585,7 @@ void Engine::run_sharded(const std::vector<RecordSink*>& sinks,
       // Shutdown requests are honoured at drained barriers only — mid-window
       // (or with the next window in flight) the shard agents have advanced
       // past the merge point, so a drained barrier is the only consistent
-      // snapshot state in sharded mode.
+      // snapshot state.
       if ((stop_time >= 0 && stop == stop_time) || ckpt::shutdown_requested()) {
         interrupted_ = true;
         break;
@@ -753,13 +598,13 @@ void Engine::run_sharded(const std::vector<RecordSink*>& sinks,
       // windows; only cadence multiples get a snapshot.
       if (cadence_s > 0 && stop % cadence_s == 0) {
         if (config_.metrics != nullptr) {
-          // Snapshot the registry the single-threaded path would have at
-          // this barrier: main contents plus every shard's delta so far.
+          // Snapshot the registry an unsharded run would have at this
+          // barrier: main contents plus every shard's delta so far.
           obs::MetricsRegistry barrier_view = *config_.metrics;
           for (const auto& shard : shards) barrier_view.merge_from(shard.metrics);
-          write_checkpoint(stop, merged, &barrier_view);
+          write_checkpoint(stop, global, &barrier_view);
         } else {
-          write_checkpoint(stop, merged, nullptr);
+          write_checkpoint(stop, global, nullptr);
         }
       }
       launch(next_stop, slot ^ 1);
@@ -769,10 +614,11 @@ void Engine::run_sharded(const std::vector<RecordSink*>& sinks,
   }
 
   if (reached_horizon) {
-    // Legacy tail: pop the first beyond-horizon event before the final
-    // probe sample, matching the single-threaded path byte-for-byte.
-    if (!merged.empty()) merged.pop();
-    if (probe != nullptr) probe->end_run(last_time_, merged.size(), wakes_);
+    // The final probe sample is taken after popping (and discarding) the
+    // first beyond-horizon event; its queue depth is part of the probe
+    // trajectory the golden digests pin.
+    if (!global.empty()) global.pop();
+    if (probe != nullptr) probe->end_run(last_time_, global.size(), wakes_);
   }
 
   shard_wakes_.resize(shard_count);
@@ -797,9 +643,8 @@ void Engine::run_sharded(const std::vector<RecordSink*>& sinks,
 
   if (interrupted_) {
     // Shard deltas were folded into the main registry above, so the main
-    // registry IS the barrier view and the snapshot matches what a
-    // threads=1 interrupt at this barrier would have written.
-    write_checkpoint(stop, merged, config_.metrics);
+    // registry IS the barrier view.
+    write_checkpoint(stop, global, config_.metrics);
   }
 }
 

@@ -1,28 +1,32 @@
 #pragma once
 
-// The simulation engine: owns the agents and the event queue, fans records
+// The simulation engine: owns the agents and their event queues, fans records
 // out to the registered sinks, and runs the clock from day 0 to the horizon.
 // Deterministic: (world seed, engine seed, fleet composition) fixes the
 // entire output — independent of Config::threads.
 //
-// Execution modes:
-//  * threads == 1 (default): the classic single event loop.
-//  * threads == K > 1: agents are partitioned into K shards by stable index
-//    (agent % K); one event loop per shard runs on a thread pool, buffering
-//    its emitted records into a per-shard RecordBuffer arena. A
-//    deterministic k-way merge then rebuilds the global (time, seq) pop
-//    order from the recorded per-wake schedule and replays every record
-//    into the sinks in exactly the single-threaded order — so threads=N
-//    output is byte-identical to threads=1 for every sink, scenario and
-//    fault schedule. Agents never interact (each owns a forked RNG; World,
-//    NetworkSelector and OutcomePolicy are consulted read-only), which is
-//    what makes the shard loops embarrassingly parallel.
-//    The run is a two-stage pipeline over sim-day windows (cut earlier at
-//    checkpoint-cadence, congestion-bucket and stop boundaries): each shard
-//    owns two buffers, and while the pool simulates window w+1 into one,
-//    the calling thread merges window w out of the other. Barriers that
-//    need the shards parked — snapshots, stop/shutdown, and every window
-//    of a run with a CongestionModel — drain the pipeline first.
+// Execution: agents are partitioned into K = Config::threads shards by
+// stable index (agent % K), each with its own event queue, outcome policy,
+// metrics registry and congestion ledger. One window driver runs every K:
+// the horizon is cut into sim-day windows (earlier at checkpoint-cadence,
+// congestion-bucket and stop boundaries), and every window ends at a
+// barrier where congestion ledgers are absorbed, snapshots are written and
+// stop/shutdown requests take effect. K only decides how a window runs:
+//  * K == 1: shard 0 runs inline on the calling thread, straight into the
+//    sinks.
+//  * K > 1: the shards run on a thread pool, each buffering its records
+//    into a RecordBuffer arena. A deterministic k-way merge then rebuilds
+//    the global (time, seq) pop order from the recorded per-wake schedule
+//    and replays every record into the sinks in exactly the K=1 order — so
+//    threads=N output is byte-identical to threads=1 for every sink,
+//    scenario and fault schedule. Agents never interact (each owns a
+//    forked RNG; World, NetworkSelector and OutcomePolicy are consulted
+//    read-only), which is what makes the shard loops embarrassingly
+//    parallel. Each shard owns two buffers, and while the pool simulates
+//    window w+1 into one, the calling thread merges window w out of the
+//    other. Barriers that need the shards parked — snapshots, stop/
+//    shutdown, and every window of a run with a CongestionModel — drain
+//    the pipeline first.
 
 #include <memory>
 #include <stdexcept>
@@ -108,10 +112,10 @@ class Engine {
     std::uint64_t seed = 7;
     std::int32_t horizon_days = 22;
     signaling::OutcomePolicyConfig outcomes{};
-    /// Shard/worker count for the event loop. 1 (the default) runs the
-    /// classic single-threaded path; K > 1 runs K sharded loops on a thread
-    /// pool and merges deterministically — the output stays byte-identical
-    /// to threads=1. Values above the agent count are clamped.
+    /// Shard count K. 1 (the default) runs the single shard inline on the
+    /// calling thread; K > 1 runs K shards on a thread pool and merges
+    /// deterministically — the output stays byte-identical to threads=1.
+    /// Values above the agent count are clamped.
     unsigned threads = 1;
     /// Optional fault-injection schedule consulted by the outcome policy.
     /// Not owned — must outlive the engine. Null or empty leaves the run
@@ -121,9 +125,9 @@ class Engine {
     /// registry receives outcome/engine counters; the probe samples the
     /// event loop on its sim-time cadence and rides the record stream as an
     /// extra sink. Neither touches any RNG: instrumented runs stay
-    /// byte-identical to bare ones. In sharded mode the outcome counters
-    /// accumulate in per-shard registries merged post-run, and the probe is
-    /// driven off the merged stream — trajectories stay deterministic.
+    /// byte-identical to bare ones. The outcome counters accumulate in
+    /// per-shard registries merged post-run, and the probe is driven in
+    /// global pop order — trajectories stay deterministic.
     obs::MetricsRegistry* metrics = nullptr;
     obs::EngineProbe* probe = nullptr;
     /// Optional closed-loop congestion model (borrowed; must outlive the
@@ -138,11 +142,10 @@ class Engine {
     /// same model presence and operator count.
     faults::CongestionModel* congestion = nullptr;
     /// Checkpoint cadence in sim hours; 0 (the default) disables
-    /// checkpointing entirely and the run takes the exact legacy code
-    /// path — output stays byte-identical to a build without the
-    /// subsystem. With cadence on, a snapshot is written atomically to
-    /// `checkpoint_path` at every cadence boundary; in sharded mode the
-    /// boundaries are drained merge barriers, so the snapshot is
+    /// checkpointing. Either way the output is byte-identical to a build
+    /// without the subsystem. With cadence on, a snapshot is written
+    /// atomically to `checkpoint_path` at every cadence boundary.
+    /// Boundaries are drained window barriers, so the snapshot is
     /// thread-count-independent (threads=1 and threads=N write
     /// bit-identical snapshots at the same boundary).
     std::int64_t checkpoint_every_sim_hours = 0;
@@ -173,12 +176,6 @@ class Engine {
     std::string heartbeat_path;
     /// Minimum wall seconds between heartbeat rewrites.
     double heartbeat_every_wall_s = 1.0;
-    /// Snapshot container format this engine writes. Defaults to the
-    /// current version (3: hydration-flagged arena section). 2 writes the
-    /// legacy layout (every agent's state, no flags) readable by older
-    /// binaries; resume_from() auto-detects either on read. Any other
-    /// value is rejected at the first checkpoint write.
-    std::uint32_t snapshot_format = ckpt::kSnapshotVersion;
   };
 
   Engine(const topology::World& world, Config config);
@@ -248,15 +245,16 @@ class Engine {
   /// Total wake events processed by the last run.
   [[nodiscard]] std::uint64_t wakes_processed() const noexcept { return wakes_; }
 
-  /// Shards actually used by the last run (1 for the single-threaded path).
+  /// Shards actually used by the last run (1 before any run).
   [[nodiscard]] std::size_t shards_used() const noexcept {
     return shard_wakes_.empty() ? 1 : shard_wakes_.size();
   }
-  /// Wakes processed per shard by the last run (empty for threads=1).
+  /// Wakes processed per shard by the last run (one entry at threads=1).
   [[nodiscard]] const std::vector<std::uint64_t>& shard_wakes() const noexcept {
     return shard_wakes_;
   }
-  /// Wall time of the deterministic merge phase (0 for threads=1).
+  /// Wall time of the deterministic merge phase (0 for threads=1, which
+  /// has no merge).
   [[nodiscard]] double merge_wall_s() const noexcept { return merge_wall_s_; }
 
   /// True when the last run() returned early — graceful shutdown request
@@ -281,7 +279,7 @@ class Engine {
   // --- shard-balance telemetry (tracing-enabled runs only; all zero when
   // --- the recorder is off, since deriving them costs clock reads) --------
   /// Wall seconds each shard spent inside its window loops (empty for
-  /// threads=1 or untraced runs).
+  /// untraced runs).
   [[nodiscard]] const std::vector<double>& shard_busy_s() const noexcept {
     return shard_busy_s_;
   }
@@ -298,10 +296,16 @@ class Engine {
  private:
   struct Shard;
 
-  void run_single(const std::vector<RecordSink*>& sinks);
-  void run_sharded(const std::vector<RecordSink*>& sinks, std::size_t shard_count);
-  void run_shard_window(Shard& shard, EventQueue& queue, RecordBuffer& buffer,
+  /// The one window driver, for every shard count.
+  void run_windows(const std::vector<RecordSink*>& sinks, std::size_t shard_count);
+  /// Run one shard up to `stop`. `sink` is the fan-out at K=1 (records go
+  /// straight to the sinks) or the shard's RecordBuffer at K>1.
+  template <typename Sink>
+  void run_shard_window(Shard& shard, EventQueue& queue, Sink& sink,
                         stats::SimTime stop);
+  /// Per-wake bookkeeping in global pop order (inline at K=1, in the merge
+  /// at K>1). `pending` is the global queue depth after the pop.
+  void count_wake(stats::SimTime time, std::size_t pending);
   void finish_run_metrics();
   /// Rate-limited heartbeat write (no-op when no heartbeat is configured).
   void beat(const char* phase, stats::SimTime sim_now, bool force = false);
@@ -315,26 +319,20 @@ class Engine {
   [[nodiscard]] std::uint64_t fleet_fingerprint() const;
   /// Serialize full engine state resuming at `resume_time` and write it
   /// atomically to Config::checkpoint_path (no-op when the path is empty).
-  /// `queue` is the live global queue (queue_ for threads=1, the merge
+  /// `queue` is the live global queue (shard 0's for threads=1, the merge
   /// queue for threads=N); `metrics_view` is the registry to persist — the
-  /// main one for threads=1, a barrier-merged clone for threads=N.
+  /// main registry plus every shard's delta at this barrier.
   void write_checkpoint(stats::SimTime resume_time, const EventQueue& queue,
                         const obs::MetricsRegistry* metrics_view);
 
   const topology::World& world_;
   Config config_;
   NetworkSelector selector_;
-  /// Single-threaded path's attempt ledger (shards own private ones).
-  /// Declared before outcomes_: the policy captures its address at
-  /// construction.
-  faults::CongestionLedger congestion_ledger_;
-  signaling::OutcomePolicy outcomes_;
   stats::Rng rng_;
   /// All agent state: cold catalog + dormant hot fields + lazily hydrated
   /// working slots (also records each agent's first wake, which seeds the
   /// per-shard queues and the merge replay without re-consuming agent RNG).
   AgentArena arena_;
-  EventQueue queue_;
   std::uint64_t wakes_ = 0;
   std::vector<std::uint64_t> shard_wakes_;
   double merge_wall_s_ = 0.0;
@@ -343,7 +341,7 @@ class Engine {
   // --- checkpoint/restore state --------------------------------------------
   std::vector<std::pair<std::string, ckpt::Checkpointable*>> checkpointables_;
   /// Pending events restored from a snapshot, in global pop order; seeds
-  /// the run queue(s) in place of first_wakes_ when resumed_.
+  /// the run queues in place of the arena's first wakes when resumed_.
   std::vector<std::pair<stats::SimTime, AgentIndex>> resume_events_;
   stats::SimTime resume_time_ = 0;   // window accounting restarts here
   stats::SimTime last_time_ = 0;     // time of the last processed event

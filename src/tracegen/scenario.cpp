@@ -2,6 +2,17 @@
 
 namespace wtr::tracegen {
 
+void apply_run_options(const CheckpointOptions& ckpt, const TelemetryOptions& telemetry,
+                       sim::Engine::Config& config) {
+  config.checkpoint_every_sim_hours = ckpt.every_sim_hours;
+  config.checkpoint_path = ckpt.path;
+  config.stop_after_sim_hours = ckpt.stop_after_sim_hours;
+  config.trace_path = telemetry.trace_path;
+  config.trace_capacity_per_track = telemetry.trace_capacity_per_track;
+  config.heartbeat_path = telemetry.heartbeat_path;
+  config.heartbeat_every_wall_s = telemetry.heartbeat_every_wall_s;
+}
+
 std::unordered_map<signaling::DeviceHash, devices::DeviceClass> class_truth(
     const GroundTruthMap& truth) {
   std::unordered_map<signaling::DeviceHash, devices::DeviceClass> out;

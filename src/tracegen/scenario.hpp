@@ -19,7 +19,7 @@ namespace wtr::tracegen {
 
 /// Checkpoint/restore passthrough shared by all scenario configs (maps 1:1
 /// onto the sim::Engine::Config checkpoint fields). All-default disables
-/// checkpointing and keeps the run on the legacy byte-identical code path.
+/// checkpointing; the output is byte-identical either way.
 struct CheckpointOptions {
   /// Snapshot cadence in sim hours (0 = off).
   std::int64_t every_sim_hours = 0;
@@ -27,9 +27,6 @@ struct CheckpointOptions {
   std::string path;
   /// Deterministic in-process interrupt at this sim-hour boundary (0 = off).
   std::int64_t stop_after_sim_hours = 0;
-  /// Snapshot container version to write (0 = current). Resume auto-detects;
-  /// pinning 2 emits the legacy every-agent layout for older readers.
-  std::uint32_t snapshot_format = 0;
 };
 
 /// Live-telemetry passthrough shared by all scenario configs (maps 1:1 onto
@@ -46,6 +43,10 @@ struct TelemetryOptions {
   /// Minimum wall seconds between heartbeat rewrites.
   double heartbeat_every_wall_s = 1.0;
 };
+
+/// Copy the checkpoint and telemetry passthroughs into an engine config.
+void apply_run_options(const CheckpointOptions& ckpt, const TelemetryOptions& telemetry,
+                       sim::Engine::Config& config);
 
 struct GroundTruthEntry {
   devices::DeviceClass device_class = devices::DeviceClass::kM2M;

@@ -21,16 +21,7 @@ sim::Engine::Config engine_config_for(const StormScenarioConfig& config) {
   ec.outcomes.transient_failure_rate = 0.001;
   ec.faults = config.faults;
   ec.congestion = config.congestion;
-  ec.checkpoint_every_sim_hours = config.ckpt.every_sim_hours;
-  ec.checkpoint_path = config.ckpt.path;
-  ec.stop_after_sim_hours = config.ckpt.stop_after_sim_hours;
-  if (config.ckpt.snapshot_format != 0) {
-    ec.snapshot_format = config.ckpt.snapshot_format;
-  }
-  ec.trace_path = config.telemetry.trace_path;
-  ec.trace_capacity_per_track = config.telemetry.trace_capacity_per_track;
-  ec.heartbeat_path = config.telemetry.heartbeat_path;
-  ec.heartbeat_every_wall_s = config.telemetry.heartbeat_every_wall_s;
+  apply_run_options(config.ckpt, config.telemetry, ec);
   return ec;
 }
 

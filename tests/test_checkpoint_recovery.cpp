@@ -45,6 +45,7 @@
 #include "stats/sim_time.hpp"
 #include "tracegen/mno_scenario.hpp"
 #include "util/binio.hpp"
+#include "util/crc32.hpp"
 
 #ifndef WTR_CKPT_HARNESS_PATH
 #error "WTR_CKPT_HARNESS_PATH must point at the wtr_ckpt_harness binary"
@@ -331,6 +332,18 @@ TEST(CheckpointRecovery, CorruptSnapshotsAreRejected) {
     write_file(ckpt, flipped);
     EXPECT_EQ(run_to_exit(resume_args, errs), 4);
     EXPECT_NE(read_file(errs).find("snapshot"), std::string::npos);
+  }
+  {  // Re-stamped as format version 2 with a valid header CRC: only the
+     // current container version is accepted.
+    std::string restamped = pristine;
+    const auto put_u32 = [&](std::size_t at, std::uint32_t v) {
+      for (int i = 0; i < 4; ++i) restamped[at + i] = static_cast<char>(v >> (8 * i));
+    };
+    put_u32(8, 2);  // version follows the 8-byte magic
+    put_u32(24, util::crc32(std::string_view(restamped).substr(0, 24)));
+    write_file(ckpt, restamped);
+    EXPECT_EQ(run_to_exit(resume_args, errs), 4);
+    EXPECT_NE(read_file(errs).find("format version"), std::string::npos);
   }
   {  // Pristine bytes but a different world: fleet fingerprint must reject.
     write_file(ckpt, pristine);

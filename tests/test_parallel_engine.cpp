@@ -5,10 +5,11 @@
 // exact string equality between threads=1 and threads∈{2,8} — across all
 // three scenarios and under a non-empty FaultSchedule.
 //
-// The sharded engine pipelines sim-day windows (shards simulate day d+1
-// while the merge replays day d); the pipeline tests below pin down a
-// shutdown that lands with a window in flight and the one-day bound on the
-// record buffers.
+// Every thread count runs the same sim-day windows; the sharded engine
+// pipelines them (shards simulate day d+1 while the merge replays day d).
+// The window tests below pin down where a shutdown takes effect at
+// threads=1 and with a window in flight at threads=4, and the one-day
+// bound on the record buffers.
 //
 // Manifests are compared with timers detached: phase wall-times are the
 // one inherently volatile manifest section (they measure the host, not the
@@ -317,11 +318,11 @@ TEST(ParallelEngine, ThreadsClampToAgentCount) {
   EXPECT_LE(scenario.engine().shards_used(), scenario.engine().agent_count());
 }
 
-// --- day pipeline -----------------------------------------------------------
+// --- day windows ------------------------------------------------------------
 
-/// Requests a graceful shutdown from the merge thread once the replayed
-/// stream reaches sim time `at`. By then the pipeline has already launched
-/// the next day's window on the pool.
+/// Requests a graceful shutdown from the sink thread once the stream
+/// reaches sim time `at`. At threads>1 that is the merge thread, and by
+/// then the pipeline has already launched the next day's window.
 class ShutdownAt final : public sim::RecordSink {
  public:
   explicit ShutdownAt(stats::SimTime at) : at_(at) {}
@@ -344,52 +345,79 @@ struct ShutdownFlagGuard {
   ~ShutdownFlagGuard() { ckpt::reset_shutdown_flag(); }
 };
 
+/// The stream of a threads=1 MNO run stopped at the `hours` barrier: the
+/// golden prefix through that barrier.
+std::string stream_through(std::int64_t hours) {
+  obs::RunObservation observation;
+  auto config = mno_config(1, observation);
+  config.ckpt.stop_after_sim_hours = hours;
+  tracegen::MnoScenario scenario{config};
+  StreamSerializer sink;
+  scenario.run({&sink});
+  return sink.stream;
+}
+
 TEST(ParallelEngine, ShutdownWithWindowInFlightResumesByteIdentical) {
   const ShutdownFlagGuard guard;
   const auto golden = run_mno(1);
   ASSERT_FALSE(golden.stream.empty());
+  const std::string through_day6 = stream_through(6 * 24);
 
-  const auto dir = std::filesystem::temp_directory_path() / "wtr_test_parallel_shutdown";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  const std::string ckpt = (dir / "ckpt.bin").string();
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const auto dir = std::filesystem::temp_directory_path() /
+                     ("wtr_test_parallel_shutdown_" + std::to_string(threads));
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const std::string ckpt = (dir / "ckpt.bin").string();
 
-  // Phase 1: the shutdown lands mid-day 5, while day 6 is being simulated.
-  // The run must finish the in-flight window and stop at the next drained
-  // barrier, midnight of day 7.
-  std::string partial;
-  {
+    // Phase 1: the shutdown lands mid-day 5. At threads=1 the day-5 window
+    // finishes and the run stops at its barrier, midnight of day 6. At
+    // threads=4 day 6 is already being simulated: the run must finish that
+    // in-flight window and stop at the next drained barrier, midnight of
+    // day 7.
+    std::string partial;
+    {
+      obs::RunObservation observation;
+      auto config = mno_config(threads, observation);
+      config.ckpt.path = ckpt;
+      tracegen::MnoScenario scenario{config};
+      StreamSerializer sink;
+      scenario.engine().register_checkpointable("stream", &sink);
+      ShutdownAt trigger{stats::day_start(5) + 12 * stats::kSecondsPerHour};
+      scenario.run({&sink, &trigger});
+      ASSERT_TRUE(scenario.engine().interrupted());
+      ASSERT_TRUE(std::filesystem::exists(ckpt));
+      if (threads == 1) {
+        // Compared as a bool: a gtest diff of two multi-megabyte streams
+        // would not fit in memory.
+        EXPECT_TRUE(sink.stream == through_day6)
+            << sink.stream.size() << "-byte partial stream, expected the "
+            << through_day6.size() << "-byte stream through day 6";
+      } else {
+        EXPECT_GT(sink.last_signaling_time, stats::day_start(6));
+        EXPECT_LE(sink.last_signaling_time, stats::day_start(7));
+      }
+      partial = sink.stream;
+    }
+    ckpt::reset_shutdown_flag();
+    ASSERT_LT(partial.size(), golden.stream.size());
+    EXPECT_EQ(partial, golden.stream.substr(0, partial.size()));
+
+    // Phase 2: rebuild, restore, run to the horizon.
     obs::RunObservation observation;
-    auto config = mno_config(4, observation);
-    config.ckpt.path = ckpt;
-    tracegen::MnoScenario scenario{config};
+    tracegen::MnoScenario scenario{mno_config(threads, observation)};
     StreamSerializer sink;
+    sink.stream = partial;
     scenario.engine().register_checkpointable("stream", &sink);
-    ShutdownAt trigger{stats::day_start(5) + 12 * stats::kSecondsPerHour};
-    scenario.run({&sink, &trigger});
-    ASSERT_TRUE(scenario.engine().interrupted());
-    ASSERT_TRUE(std::filesystem::exists(ckpt));
-    EXPECT_GT(sink.last_signaling_time, stats::day_start(6));
-    EXPECT_LE(sink.last_signaling_time, stats::day_start(7));
-    partial = sink.stream;
+    scenario.resume_from(ckpt);
+    scenario.run({&sink});
+    EXPECT_FALSE(scenario.engine().interrupted());
+    EXPECT_EQ(sink.stream, golden.stream);
+    EXPECT_EQ(dump_metrics(observation.metrics()), golden.metrics);
+    EXPECT_EQ(dump_probe(observation.probe()), golden.probe);
+    std::filesystem::remove_all(dir);
   }
-  ckpt::reset_shutdown_flag();
-  ASSERT_LT(partial.size(), golden.stream.size());
-  EXPECT_EQ(partial, golden.stream.substr(0, partial.size()));
-
-  // Phase 2: rebuild, restore, run to the horizon.
-  obs::RunObservation observation;
-  tracegen::MnoScenario scenario{mno_config(4, observation)};
-  StreamSerializer sink;
-  sink.stream = partial;
-  scenario.engine().register_checkpointable("stream", &sink);
-  scenario.resume_from(ckpt);
-  scenario.run({&sink});
-  EXPECT_FALSE(scenario.engine().interrupted());
-  EXPECT_EQ(sink.stream, golden.stream);
-  EXPECT_EQ(dump_metrics(observation.metrics()), golden.metrics);
-  EXPECT_EQ(dump_probe(observation.probe()), golden.probe);
-  std::filesystem::remove_all(dir);
 }
 
 /// trace.record_buffer_peak_bytes of a traced threads=4 MNO run.

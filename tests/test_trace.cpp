@@ -344,19 +344,24 @@ TEST(TracedEngine, TraceOnOffByteIdenticalAcrossThreads) {
 }
 
 TEST(TracedEngine, ExportCarriesShardMergeAndWindowSpans) {
-  const auto path = temp_path("wtr_test_trace_spans.json");
-  run_mno(4, path);
-  const auto json = read_file(path);
-  ASSERT_FALSE(json.empty());
-  // Every shard contributed a track...
-  for (int s = 0; s < 4; ++s) {
-    EXPECT_NE(json.find("shard_" + std::to_string(s)), std::string::npos);
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const auto path =
+        temp_path("wtr_test_trace_spans_" + std::to_string(threads) + ".json");
+    run_mno(threads, path);
+    const auto json = read_file(path);
+    ASSERT_FALSE(json.empty());
+    // Every shard contributed a track...
+    for (unsigned s = 0; s < threads; ++s) {
+      EXPECT_NE(json.find("shard_" + std::to_string(s)), std::string::npos);
+    }
+    // ...and the engine track carries the fan-out/merge structure. At
+    // threads=1 the shard runs inline into the sinks, so there is no merge.
+    EXPECT_NE(json.find("\"name\":\"shard_window\""), std::string::npos);
+    EXPECT_NE(json.find("\"name\":\"shard_fanout\""), std::string::npos);
+    EXPECT_EQ(json.find("\"name\":\"merge\"") != std::string::npos, threads > 1);
+    fs::remove(path);
   }
-  // ...and the engine track carries the fan-out/merge structure.
-  EXPECT_NE(json.find("\"name\":\"shard_window\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"shard_fanout\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"merge\""), std::string::npos);
-  fs::remove(path);
 }
 
 TEST(TracedEngine, CheckpointSpansAppearInExport) {
