@@ -4,7 +4,8 @@
 // the same way in both arms still passes them. This suite hashes the full
 // record stream, the metrics dump and the probe trajectory of five small
 // scenarios with FNV-1a and compares each against a checked-in digest, at
-// threads=1 and threads=4.
+// threads=1 and threads=4. For the three scenarios an MNO observes it also
+// hashes every row of the §4.1 devices-catalog the run builds.
 //
 // Floating point differs across compilers and flags, so digests are keyed
 // by toolchain (compiler id, version, target CPU, build type — the same key
@@ -23,6 +24,7 @@
 #include <string>
 #include <string_view>
 
+#include "core/catalog_builder.hpp"
 #include "faults/congestion.hpp"
 #include "faults/fault_schedule.hpp"
 #include "obs/observability.hpp"
@@ -47,6 +49,9 @@ const std::map<std::string, std::string> kGcc12X86 = {
     {"smip", "c805006d9c5a4d8a"},
     {"storm", "6322183605ae514c"},
     {"mno_faults", "a9d0270f32cddd3a"},
+    {"catalog/mno", "1a30e3b97a7cc0a8"},
+    {"catalog/smip", "87993af56d4613d0"},
+    {"catalog/mno_faults", "f4c8e71719ac0949"},
 };
 
 const std::map<std::string, std::map<std::string, std::string>> kGolden = {
@@ -157,7 +162,49 @@ std::string digest_run(tracegen::ScenarioBase& scenario,
   return sink.fnv.hex();
 }
 
-std::string run_mno(unsigned threads, const faults::FaultSchedule* faults = nullptr) {
+/// Hashes every field of every devices-catalog row, doubles bit-exactly.
+std::string digest_catalog(tracegen::ScenarioBase& scenario,
+                           core::CatalogAccumulator::Config config) {
+  core::CatalogAccumulator accumulator{std::move(config)};
+  scenario.run({&accumulator});
+  Fnv1a fnv;
+  fnv.add("accepted=" + std::to_string(accumulator.accepted_records()) + "\n");
+  const auto catalog = accumulator.finalize();
+  const auto add = [&fnv](const std::string& field) {
+    fnv.add(field);
+    fnv.add(",");
+  };
+  for (const auto& row : catalog.records()) {
+    add(std::to_string(row.device));
+    add(std::to_string(row.day));
+    add(std::to_string(row.sim_plmn.key()));
+    for (const auto plmn : row.visited_plmns) add(std::to_string(plmn.key()));
+    fnv.add("|");
+    add(std::to_string(row.signaling_events));
+    add(std::to_string(row.failed_events));
+    add(std::to_string(row.calls));
+    add(hex_double(row.call_seconds));
+    add(std::to_string(row.bytes));
+    for (const auto& apn : row.apns) add(apn);
+    fnv.add("|");
+    add(std::to_string(row.tac));
+    add(std::to_string(row.radio_flags.bits()));
+    add(std::to_string(row.data_rats.bits()));
+    add(std::to_string(row.voice_rats.bits()));
+    add(hex_double(row.centroid.lat));
+    add(hex_double(row.centroid.lon));
+    add(hex_double(row.gyration_m));
+    fnv.add(row.has_position ? "p\n" : "-\n");
+  }
+  return fnv.hex();
+}
+
+/// What a golden run digests: the record stream (plus metrics and probe),
+/// or the devices-catalog an MNO builds from it.
+enum class Output { kStream, kCatalog };
+
+std::string run_mno(unsigned threads, const faults::FaultSchedule* faults = nullptr,
+                    Output output = Output::kStream) {
   obs::RunObservation observation;
   tracegen::MnoScenarioConfig config;
   config.seed = 42;
@@ -168,6 +215,9 @@ std::string run_mno(unsigned threads, const faults::FaultSchedule* faults = null
   config.backoff.enabled = faults != nullptr;
   config.obs = observation.view();
   tracegen::MnoScenario scenario{config};
+  if (output == Output::kCatalog) {
+    return digest_catalog(scenario, {scenario.observer_plmn(), scenario.family_plmns()});
+  }
   return digest_run(scenario, observation);
 }
 
@@ -182,7 +232,7 @@ std::string run_platform(unsigned threads) {
   return digest_run(scenario, observation);
 }
 
-std::string run_smip(unsigned threads) {
+std::string run_smip(unsigned threads, Output output = Output::kStream) {
   obs::RunObservation observation;
   tracegen::SmipScenarioConfig config;
   config.seed = 9;
@@ -191,6 +241,9 @@ std::string run_smip(unsigned threads) {
   // Coverage on: SMIP is the scenario that emits dwell records.
   config.obs = observation.view();
   tracegen::SmipScenario scenario{config};
+  if (output == Output::kCatalog) {
+    return digest_catalog(scenario, {scenario.observer_plmn(), {scenario.observer_plmn()}});
+  }
   return digest_run(scenario, observation);
 }
 
@@ -225,7 +278,7 @@ std::string run_storm(unsigned threads) {
   return digest_run(scenario, observation);
 }
 
-std::string run_mno_faults(unsigned threads) {
+std::string run_mno_faults(unsigned threads, Output output = Output::kStream) {
   // A total UK outage on day 3 and a registration storm on day 5, with
   // mechanistic backoff so rejected attaches reschedule irregularly.
   constexpr stats::SimTime kHour = 3600;
@@ -242,7 +295,7 @@ std::string run_mno_faults(unsigned threads) {
     schedule.add_storm(uk_mno, stats::day_start(5) + 10 * kHour,
                        stats::day_start(5) + 16 * kHour, 0.35);
   }
-  return run_mno(threads, &schedule);
+  return run_mno(threads, &schedule, output);
 }
 
 void check_golden(const std::string& scenario,
@@ -266,11 +319,27 @@ TEST(GoldenDigests, Mno) { check_golden("mno", [](unsigned t) { return run_mno(t
 
 TEST(GoldenDigests, Platform) { check_golden("platform", run_platform); }
 
-TEST(GoldenDigests, Smip) { check_golden("smip", run_smip); }
+TEST(GoldenDigests, Smip) { check_golden("smip", [](unsigned t) { return run_smip(t); }); }
 
 TEST(GoldenDigests, Storm) { check_golden("storm", run_storm); }
 
-TEST(GoldenDigests, MnoFaultSchedule) { check_golden("mno_faults", run_mno_faults); }
+TEST(GoldenDigests, MnoFaultSchedule) {
+  check_golden("mno_faults", [](unsigned t) { return run_mno_faults(t); });
+}
+
+TEST(GoldenDigests, MnoCatalog) {
+  check_golden("catalog/mno",
+               [](unsigned t) { return run_mno(t, nullptr, Output::kCatalog); });
+}
+
+TEST(GoldenDigests, SmipCatalog) {
+  check_golden("catalog/smip", [](unsigned t) { return run_smip(t, Output::kCatalog); });
+}
+
+TEST(GoldenDigests, MnoFaultScheduleCatalog) {
+  check_golden("catalog/mno_faults",
+               [](unsigned t) { return run_mno_faults(t, Output::kCatalog); });
+}
 
 }  // namespace
 }  // namespace wtr
