@@ -1,6 +1,8 @@
 #include "core/catalog_builder.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <utility>
 
 #include "stats/rng.hpp"
 
@@ -8,20 +10,25 @@ namespace wtr::core {
 
 namespace {
 
-void insert_unique_plmn(std::vector<cellnet::Plmn>& list, cellnet::Plmn plmn) {
-  if (std::find(list.begin(), list.end(), plmn) == list.end()) list.push_back(plmn);
-}
-
-void insert_unique_string(std::vector<std::string>& list, const std::string& value) {
-  if (value.empty()) return;
+template <typename T>
+void insert_unique(std::vector<T>& list, const T& value) {
   if (std::find(list.begin(), list.end(), value) == list.end()) list.push_back(value);
 }
 
-std::uint64_t partial_key(signaling::DeviceHash device, std::int32_t day) {
-  return stats::mix64(device, static_cast<std::uint64_t>(static_cast<std::uint32_t>(day)));
+constexpr std::size_t kMinSlots = 1024;
+
+/// Fibonacci hashing: the top log2(slots) bits of the product.
+std::size_t slot_of(signaling::DeviceHash device, std::size_t slots) noexcept {
+  return static_cast<std::size_t>((device * 0x9E3779B97F4A7C15ull) >>
+                                  (64 - std::countr_zero(slots)));
 }
 
 }  // namespace
+
+std::size_t CatalogAccumulator::DayKeyHash::operator()(const DayKey& key) const noexcept {
+  return stats::mix64(key.first,
+                      static_cast<std::uint64_t>(static_cast<std::uint32_t>(key.second)));
+}
 
 CatalogAccumulator::CatalogAccumulator(Config config) : config_(std::move(config)) {
   if (config_.family_plmns.empty()) config_.family_plmns.push_back(config_.observer_plmn);
@@ -34,13 +41,81 @@ bool CatalogAccumulator::in_family(cellnet::Plmn plmn) const noexcept {
 
 CatalogAccumulator::Partial& CatalogAccumulator::partial_for(
     signaling::DeviceHash device, std::int32_t day, cellnet::Plmn sim_plmn) {
-  auto& partial = partials_[partial_key(device, day)];
-  partial.device = device;
-  partial.day = day;
+  auto& partial = partial_at(device, day);
   // A dwell record may have opened this partial before any SIM-bearing
   // record arrived; fill the identity from the first record that knows it.
   if (!partial.sim_plmn.valid()) partial.sim_plmn = sim_plmn;
   return partial;
+}
+
+CatalogAccumulator::Partial& CatalogAccumulator::partial_at(signaling::DeviceHash device,
+                                                            std::int32_t day) {
+  if (2 * (open_used_ + 1) > open_.size()) grow();
+  const std::size_t mask = open_.size() - 1;
+  for (std::size_t i = slot_of(device, open_.size());; i = (i + 1) & mask) {
+    Slot& slot = open_[i];
+    if (!slot.used) {
+      slot.used = true;
+      ++open_used_;
+      slot.partial = Partial{.device = device, .day = day};
+      return slot.partial;
+    }
+    Partial& open = slot.partial;
+    if (open.device != device) continue;
+    if (day == open.day) return open;
+    if (day < open.day) return late_partial(device, day);
+    close(open);
+    open = Partial{.device = device, .day = day};
+    return open;
+  }
+}
+
+CatalogAccumulator::Partial& CatalogAccumulator::late_partial(signaling::DeviceHash device,
+                                                              std::int32_t day) {
+  if (!late_index_built_) {
+    late_index_.reserve(closed_.size());
+    for (std::size_t i = 0; i < closed_.size(); ++i) {
+      late_index_.emplace(std::pair{closed_[i].device, closed_[i].day}, i);
+    }
+    late_index_built_ = true;
+  }
+  const auto [it, inserted] = late_index_.try_emplace({device, day}, closed_.size());
+  if (inserted) closed_.push_back(Partial{.device = device, .day = day});
+  return closed_[it->second];
+}
+
+void CatalogAccumulator::close(Partial& partial) {
+  if (late_index_built_) {
+    late_index_.emplace(std::pair{partial.device, partial.day}, closed_.size());
+  }
+  closed_.push_back(std::move(partial));
+}
+
+void CatalogAccumulator::add_visited(Partial& partial, cellnet::Plmn plmn) {
+  if (!partial.visited_plmns.empty() && plmn == partial.last_visited) return;
+  insert_unique(partial.visited_plmns, plmn);
+  partial.last_visited = plmn;
+}
+
+void CatalogAccumulator::add_apn(Partial& partial, const std::string& apn) {
+  if (apn.empty()) return;
+  const auto id =
+      apn_ids_.try_emplace(apn, static_cast<std::uint32_t>(apn_ids_.size())).first->second;
+  if (!partial.apns.empty() && id == partial.last_apn) return;
+  insert_unique(partial.apns, apn);
+  partial.last_apn = id;
+}
+
+void CatalogAccumulator::grow() {
+  std::vector<Slot> old =
+      std::exchange(open_, std::vector<Slot>(std::max(kMinSlots, 2 * open_.size())));
+  const std::size_t mask = open_.size() - 1;
+  for (Slot& from : old) {
+    if (!from.used) continue;
+    std::size_t i = slot_of(from.partial.device, open_.size());
+    while (open_[i].used) i = (i + 1) & mask;
+    open_[i] = std::move(from);
+  }
 }
 
 void CatalogAccumulator::on_signaling(const signaling::SignalingTransaction& txn,
@@ -56,7 +131,7 @@ void CatalogAccumulator::on_signaling(const signaling::SignalingTransaction& txn
   } else {
     partial.radio_flags.set(txn.rat);
   }
-  insert_unique_plmn(partial.visited_plmns, txn.visited_plmn);
+  add_visited(partial, txn.visited_plmn);
   if (txn.tac != 0) partial.tac = txn.tac;
 }
 
@@ -68,7 +143,7 @@ void CatalogAccumulator::on_cdr(const records::Cdr& cdr) {
   ++partial.calls;
   partial.call_seconds += cdr.duration_s;
   partial.voice_rats.set(cdr.rat);
-  insert_unique_plmn(partial.visited_plmns, cdr.visited_plmn);
+  add_visited(partial, cdr.visited_plmn);
 }
 
 void CatalogAccumulator::on_xdr(const records::Xdr& xdr) {
@@ -78,8 +153,8 @@ void CatalogAccumulator::on_xdr(const records::Xdr& xdr) {
   auto& partial = partial_for(xdr.device, stats::day_of(xdr.time), xdr.sim_plmn);
   partial.bytes += xdr.bytes_total();
   partial.data_rats.set(xdr.rat);
-  insert_unique_plmn(partial.visited_plmns, xdr.visited_plmn);
-  insert_unique_string(partial.apns, xdr.apn);
+  add_visited(partial, xdr.visited_plmn);
+  add_apn(partial, xdr.apn);
 }
 
 void CatalogAccumulator::on_dwell(signaling::DeviceHash device, std::int32_t day,
@@ -92,55 +167,73 @@ void CatalogAccumulator::on_dwell(signaling::DeviceHash device, std::int32_t day
   // "time spent on each individual sector", which accrues continuously) we
   // accept dwell into the partial regardless; finalize() drops positionless
   // pure-dwell records.
-  auto& partial = partials_[partial_key(device, day)];
-  if (partial.device == 0) {
-    partial.device = device;
-    partial.day = day;
-  }
-  partial.gyration.add(location, seconds);
+  partial_at(device, day).gyration.add(location, seconds);
 }
 
 records::DevicesCatalog CatalogAccumulator::finalize() {
-  records::DevicesCatalog catalog;
-  catalog.reserve(partials_.size());
-  // Deterministic output order: sort by (device, day).
-  std::vector<const Partial*> ordered;
-  ordered.reserve(partials_.size());
-  for (const auto& [_, partial] : partials_) ordered.push_back(&partial);
-  std::sort(ordered.begin(), ordered.end(), [](const Partial* a, const Partial* b) {
-    if (a->device != b->device) return a->device < b->device;
-    return a->day < b->day;
+  // Deterministic output order: sort by (device, day). Sorting compact keys
+  // and then visiting each partial once keeps the sort in cache.
+  struct Key {
+    signaling::DeviceHash device;
+    std::int32_t day;
+    Partial* partial;
+  };
+  std::vector<Key> order;
+  order.reserve(closed_.size() + open_used_);
+  for (Partial& partial : closed_) order.push_back({partial.device, partial.day, &partial});
+  for (Slot& slot : open_) {
+    if (slot.used) order.push_back({slot.partial.device, slot.partial.day, &slot.partial});
+  }
+  std::sort(order.begin(), order.end(), [](const Key& a, const Key& b) {
+    if (a.device != b.device) return a.device < b.device;
+    return a.day < b.day;
   });
 
-  for (const Partial* partial : ordered) {
+  // The partials are visited in scattered order: prefetch a few keys ahead.
+  constexpr std::size_t kPrefetch = 16;
+  records::DevicesCatalog catalog;
+  catalog.reserve(order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    if (i + kPrefetch < order.size()) {
+      const char* ahead = reinterpret_cast<const char*>(order[i + kPrefetch].partial);
+      __builtin_prefetch(ahead);
+      __builtin_prefetch(ahead + 64);
+      __builtin_prefetch(ahead + 128);
+    }
+    Partial& partial = *order[i].partial;
     const bool has_activity =
-        partial->signaling_events > 0 || partial->calls > 0 || partial->bytes > 0;
+        partial.signaling_events > 0 || partial.calls > 0 || partial.bytes > 0;
     if (!has_activity) continue;  // dwell-only artifacts
     records::DailyDeviceRecord record;
-    record.device = partial->device;
-    record.day = partial->day;
-    record.sim_plmn = partial->sim_plmn;
-    record.visited_plmns = partial->visited_plmns;
+    record.device = partial.device;
+    record.day = partial.day;
+    record.sim_plmn = partial.sim_plmn;
+    record.visited_plmns = std::move(partial.visited_plmns);
     std::sort(record.visited_plmns.begin(), record.visited_plmns.end());
-    record.signaling_events = partial->signaling_events;
-    record.failed_events = partial->failed_events;
-    record.calls = partial->calls;
-    record.call_seconds = partial->call_seconds;
-    record.bytes = partial->bytes;
-    record.apns = partial->apns;
+    record.signaling_events = partial.signaling_events;
+    record.failed_events = partial.failed_events;
+    record.calls = partial.calls;
+    record.call_seconds = partial.call_seconds;
+    record.bytes = partial.bytes;
+    record.apns = std::move(partial.apns);
     std::sort(record.apns.begin(), record.apns.end());
-    record.tac = partial->tac;
-    record.radio_flags = partial->radio_flags;
-    record.data_rats = partial->data_rats;
-    record.voice_rats = partial->voice_rats;
-    if (!partial->gyration.empty()) {
-      record.centroid = partial->gyration.centroid();
-      record.gyration_m = partial->gyration.gyration_m();
+    record.tac = partial.tac;
+    record.radio_flags = partial.radio_flags;
+    record.data_rats = partial.data_rats;
+    record.voice_rats = partial.voice_rats;
+    if (!partial.gyration.empty()) {
+      record.centroid = partial.gyration.centroid();
+      record.gyration_m = partial.gyration.gyration_m();
       record.has_position = true;
     }
     catalog.add(std::move(record));
   }
-  partials_.clear();
+  open_ = {};
+  open_used_ = 0;
+  closed_ = {};
+  late_index_ = {};
+  late_index_built_ = false;
+  apn_ids_ = {};
   return catalog;
 }
 

@@ -14,6 +14,7 @@
 // consumes.
 
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/mobility_metrics.hpp"
@@ -46,30 +47,63 @@ class CatalogAccumulator final : public sim::RecordSink {
   [[nodiscard]] records::DevicesCatalog finalize();
 
  private:
+  // The last visited PLMN and APN (as an apn_ids_ id) sit inline, so that a
+  // repeat, the common case, needs no visit to the heap-allocated lists.
   struct Partial {
     signaling::DeviceHash device = 0;
     std::int32_t day = 0;
     cellnet::Plmn sim_plmn{};
-    std::vector<cellnet::Plmn> visited_plmns;
+    cellnet::Plmn last_visited{};
+    std::vector<cellnet::Plmn> visited_plmns{};
     std::uint64_t signaling_events = 0;
     std::uint64_t failed_events = 0;
     std::uint32_t calls = 0;
+    std::uint32_t last_apn = 0;
     double call_seconds = 0.0;
     std::uint64_t bytes = 0;
-    std::vector<std::string> apns;
+    std::vector<std::string> apns{};
     cellnet::Tac tac = 0;
     cellnet::RatMask radio_flags{};
     cellnet::RatMask data_rats{};
     cellnet::RatMask voice_rats{};
-    GyrationAccumulator gyration;
+    GyrationAccumulator gyration{};
+  };
+
+  /// One open-addressing slot: the partial of its device's latest day.
+  struct Slot {
+    bool used = false;
+    Partial partial;
+  };
+
+  using DayKey = std::pair<signaling::DeviceHash, std::int32_t>;
+  struct DayKeyHash {
+    std::size_t operator()(const DayKey& key) const noexcept;
   };
 
   [[nodiscard]] bool in_family(cellnet::Plmn plmn) const noexcept;
   Partial& partial_for(signaling::DeviceHash device, std::int32_t day,
                        cellnet::Plmn sim_plmn);
+  /// The one partial of (device, day).
+  Partial& partial_at(signaling::DeviceHash device, std::int32_t day);
+  /// Slow path for a day earlier than the device's open one.
+  Partial& late_partial(signaling::DeviceHash device, std::int32_t day);
+  static void add_visited(Partial& partial, cellnet::Plmn plmn);
+  void add_apn(Partial& partial, const std::string& apn);
+  void close(Partial& partial);
+  void grow();
 
   Config config_;
-  std::unordered_map<std::uint64_t, Partial> partials_;
+  // The engine delivers each device's records in non-decreasing day order,
+  // so almost every record lands in its device's open slot; a later day
+  // moves the slot's partial to closed_. Records for an earlier day (trace
+  // replay feeds whole streams one after another) find their partial in
+  // closed_ through late_index_, which is built on the first such record.
+  std::vector<Slot> open_;  // power-of-two size, linear probing
+  std::size_t open_used_ = 0;
+  std::vector<Partial> closed_;
+  bool late_index_built_ = false;
+  std::unordered_map<DayKey, std::size_t, DayKeyHash> late_index_;
+  std::unordered_map<std::string, std::uint32_t> apn_ids_;
   std::uint64_t accepted_ = 0;
 };
 

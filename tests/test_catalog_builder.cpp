@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "stats/rng.hpp"
+
 namespace wtr::core {
 namespace {
 
@@ -138,6 +146,247 @@ TEST(CatalogAccumulator, FinalizeOrdersDeterministically) {
   EXPECT_EQ(catalog.records()[1].device, 20u);
   EXPECT_EQ(catalog.records()[1].day, 0);
   EXPECT_EQ(catalog.records()[2].day, 1);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Field-by-field row equality; doubles must match bit for bit.
+void expect_same_rows(const records::DevicesCatalog& a, const records::DevicesCatalog& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const auto& x = a.records()[i];
+    const auto& y = b.records()[i];
+    SCOPED_TRACE("row " + std::to_string(i) + " device " + std::to_string(x.device) +
+                 " day " + std::to_string(x.day));
+    EXPECT_EQ(x.device, y.device);
+    EXPECT_EQ(x.day, y.day);
+    EXPECT_EQ(x.sim_plmn, y.sim_plmn);
+    EXPECT_EQ(x.visited_plmns, y.visited_plmns);
+    EXPECT_EQ(x.signaling_events, y.signaling_events);
+    EXPECT_EQ(x.failed_events, y.failed_events);
+    EXPECT_EQ(x.calls, y.calls);
+    EXPECT_EQ(bits(x.call_seconds), bits(y.call_seconds));
+    EXPECT_EQ(x.bytes, y.bytes);
+    EXPECT_EQ(x.apns, y.apns);
+    EXPECT_EQ(x.tac, y.tac);
+    EXPECT_EQ(x.radio_flags.bits(), y.radio_flags.bits());
+    EXPECT_EQ(x.data_rats.bits(), y.data_rats.bits());
+    EXPECT_EQ(x.voice_rats.bits(), y.voice_rats.bits());
+    EXPECT_EQ(bits(x.centroid.lat), bits(y.centroid.lat));
+    EXPECT_EQ(bits(x.centroid.lon), bits(y.centroid.lon));
+    EXPECT_EQ(bits(x.gyration_m), bits(y.gyration_m));
+    EXPECT_EQ(x.has_position, y.has_position);
+  }
+}
+
+/// One raw record of any of the four streams a RecordSink receives.
+struct RawRecord {
+  enum class Kind { kSignaling, kCdr, kXdr, kDwell } kind = Kind::kSignaling;
+  signaling::SignalingTransaction txn{};
+  records::Cdr cdr{};
+  records::Xdr xdr{};
+  signaling::DeviceHash device = 0;  // dwell
+  std::int32_t day = 0;              // dwell
+  cellnet::Plmn visited{};           // dwell
+  cellnet::GeoPoint location{};      // dwell
+  double seconds = 0.0;              // dwell
+};
+
+RawRecord signaling_record(signaling::DeviceHash device, stats::SimTime time,
+                           cellnet::Tac tac) {
+  RawRecord r;
+  r.txn = txn(device, time, kForeign, kObserver);
+  r.txn.tac = tac;
+  return r;
+}
+
+RawRecord dwell_record(signaling::DeviceHash device, std::int32_t day,
+                       cellnet::GeoPoint location, double seconds) {
+  RawRecord r;
+  r.kind = RawRecord::Kind::kDwell;
+  r.device = device;
+  r.day = day;
+  r.visited = kObserver;
+  r.location = location;
+  r.seconds = seconds;
+  return r;
+}
+
+records::DevicesCatalog build(const std::vector<RawRecord>& stream) {
+  auto acc = make_accumulator();
+  for (const auto& r : stream) {
+    switch (r.kind) {
+      case RawRecord::Kind::kSignaling:
+        acc.on_signaling(r.txn, true);
+        break;
+      case RawRecord::Kind::kCdr:
+        acc.on_cdr(r.cdr);
+        break;
+      case RawRecord::Kind::kXdr:
+        acc.on_xdr(r.xdr);
+        break;
+      case RawRecord::Kind::kDwell:
+        acc.on_dwell(r.device, r.day, r.visited, r.location, r.seconds);
+        break;
+    }
+  }
+  return acc.finalize();
+}
+
+TEST(CatalogAccumulator, LateRecordsMatchDayOrder) {
+  constexpr signaling::DeviceHash kDevice = 40;
+  const auto s3 = signaling_record(kDevice, stats::day_start(3) + 60, 111);
+  const auto s1 = signaling_record(kDevice, stats::day_start(1) + 60, 333);
+  // Day 2 in arrival order: the last non-zero TAC (222) must win and the
+  // dwell must fold in this order.
+  std::vector<RawRecord> day2 = {
+      dwell_record(kDevice, 2, {51.50, -0.10}, 300.0),
+      signaling_record(kDevice, stats::day_start(2) + 100, 999),
+      dwell_record(kDevice, 2, {51.53, -0.05}, 900.0),
+      signaling_record(kDevice, stats::day_start(2) + 200, 222),
+      signaling_record(kDevice, stats::day_start(2) + 300, 0),
+      dwell_record(kDevice, 2, {51.47, -0.12}, 450.0),
+  };
+  RawRecord xdr;
+  xdr.kind = RawRecord::Kind::kXdr;
+  xdr.xdr.device = kDevice;
+  xdr.xdr.time = stats::day_start(2) + 400;
+  xdr.xdr.sim_plmn = kForeign;
+  xdr.xdr.visited_plmn = kObserver;
+  xdr.xdr.bytes_down = 1'000;
+  xdr.xdr.apn = "b.example.mnc004.mcc204.gprs";
+  day2.push_back(xdr);
+  xdr.xdr.apn = "a.example.mnc004.mcc204.gprs";
+  day2.push_back(xdr);
+  RawRecord cdr;
+  cdr.kind = RawRecord::Kind::kCdr;
+  cdr.cdr.device = kDevice;
+  cdr.cdr.time = stats::day_start(2) + 500;
+  cdr.cdr.sim_plmn = kMvno;
+  cdr.cdr.visited_plmn = kForeign;
+  cdr.cdr.duration_s = 12.3;
+  day2.push_back(cdr);
+  cdr.cdr.duration_s = 0.1;
+  day2.push_back(cdr);
+
+  std::vector<RawRecord> in_day_order = {s1};
+  in_day_order.insert(in_day_order.end(), day2.begin(), day2.end());
+  in_day_order.push_back(s3);
+  const auto expected = build(in_day_order);
+  ASSERT_EQ(expected.size(), 3u);
+  const auto& row2 = expected.records()[1];
+  EXPECT_EQ(row2.day, 2);
+  EXPECT_EQ(row2.tac, 222u);
+  EXPECT_TRUE(row2.has_position);
+  EXPECT_GT(row2.gyration_m, 0.0);
+  EXPECT_EQ(row2.apns.size(), 2u);
+  EXPECT_EQ(row2.visited_plmns.size(), 2u);
+
+  // Day 3 first, then all of day 2, then day 1: every earlier day is late.
+  std::vector<RawRecord> late = {s3};
+  late.insert(late.end(), day2.begin(), day2.end());
+  late.push_back(s1);
+  expect_same_rows(build(late), expected);
+
+  // Day 2 opens, day 3 closes it, and the rest of day 2 arrives late.
+  std::vector<RawRecord> reopened = {s1, day2[0], day2[1], s3};
+  reopened.insert(reopened.end(), day2.begin() + 2, day2.end());
+  expect_same_rows(build(reopened), expected);
+}
+
+/// A generated multi-device stream in engine order: per device, wakes in
+/// time order, each flushing the dwell since the previous wake (split at
+/// midnight) before its signaling, CDRs and xDRs.
+std::vector<RawRecord> generate_engine_stream(std::uint64_t seed) {
+  stats::Rng rng{seed};
+  const std::vector<cellnet::Plmn> sims = {kForeign, kMvno, kObserver};
+  const std::vector<cellnet::Plmn> visiteds = {kObserver, kObserver, kForeign};
+  const std::vector<std::string> apns = {"a.example.gprs", "m2m.example.mnc004.mcc204.gprs",
+                                         "iot.example.mnc050.mcc235.gprs"};
+  struct Wake {
+    stats::SimTime time;
+    signaling::DeviceHash device;
+  };
+  std::vector<Wake> wakes;
+  for (signaling::DeviceHash device = 1; device <= 30; ++device) {
+    for (int i = 0; i < 40; ++i) {
+      wakes.push_back({static_cast<stats::SimTime>(rng.below(6 * stats::kSecondsPerDay)),
+                       device * 7919});
+    }
+  }
+  std::sort(wakes.begin(), wakes.end(), [](const Wake& a, const Wake& b) {
+    return a.time != b.time ? a.time < b.time : a.device < b.device;
+  });
+
+  std::vector<RawRecord> stream;
+  std::vector<stats::SimTime> dwell_since(31 * 7919, -1);
+  for (const auto& wake : wakes) {
+    const auto index = static_cast<std::size_t>(wake.device);
+    const auto sim = sims[wake.device % sims.size()];
+    const auto visited = visiteds[rng.below(visiteds.size())];
+    const cellnet::GeoPoint here{51.0 + rng.uniform(0.0, 0.2), rng.uniform(-0.2, 0.2)};
+    for (auto from = dwell_since[index]; from >= 0 && from < wake.time;) {
+      const auto day = stats::day_of(from);
+      const auto to = std::min(wake.time, stats::day_start(day + 1));
+      stream.push_back(dwell_record(wake.device, day, here, static_cast<double>(to - from)));
+      stream.back().visited = visited;
+      from = to;
+    }
+    dwell_since[index] = wake.time;
+    for (auto n = rng.below(3); n-- > 0;) {
+      auto r = signaling_record(wake.device, wake.time,
+                                rng.bernoulli(0.3) ? 0 : 35'000'000 + rng.below(3));
+      r.txn.sim_plmn = sim;
+      r.txn.visited_plmn = visited;
+      stream.push_back(r);
+    }
+    if (rng.bernoulli(0.3)) {
+      RawRecord r;
+      r.kind = RawRecord::Kind::kCdr;
+      r.cdr.device = wake.device;
+      r.cdr.time = wake.time;
+      r.cdr.sim_plmn = sim;
+      r.cdr.visited_plmn = visited;
+      r.cdr.duration_s = rng.uniform(1.0, 300.0);
+      stream.push_back(r);
+    }
+    for (auto n = rng.below(3); n-- > 0;) {
+      RawRecord r;
+      r.kind = RawRecord::Kind::kXdr;
+      r.xdr.device = wake.device;
+      r.xdr.time = wake.time;
+      r.xdr.sim_plmn = sim;
+      r.xdr.visited_plmn = visited;
+      r.xdr.bytes_up = rng.below(5'000);
+      r.xdr.apn = apns[rng.below(apns.size())];
+      stream.push_back(r);
+    }
+  }
+  return stream;
+}
+
+/// The same records regrouped the way trace replay feeds them: all
+/// signaling, then all CDRs, then all xDRs, then the dwell, each stream in
+/// its original relative order.
+std::vector<RawRecord> per_stream_order(const std::vector<RawRecord>& stream) {
+  std::vector<RawRecord> out;
+  for (const auto kind : {RawRecord::Kind::kSignaling, RawRecord::Kind::kCdr,
+                          RawRecord::Kind::kXdr, RawRecord::Kind::kDwell}) {
+    for (const auto& r : stream) {
+      if (r.kind == kind) out.push_back(r);
+    }
+  }
+  return out;
+}
+
+TEST(CatalogAccumulator, EngineAndPerStreamOrderGiveIdenticalCatalogs) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const auto stream = generate_engine_stream(seed);
+    const auto engine_order = build(stream);
+    ASSERT_GT(engine_order.size(), 100u);
+    expect_same_rows(build(per_stream_order(stream)), engine_order);
+  }
 }
 
 TEST(DevicesCatalog, IndexAndSpan) {

@@ -23,6 +23,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 
 #include "core/catalog_builder.hpp"
 #include "faults/congestion.hpp"
@@ -199,9 +200,59 @@ std::string digest_catalog(tracegen::ScenarioBase& scenario,
   return fnv.hex();
 }
 
-/// What a golden run digests: the record stream (plus metrics and probe),
-/// or the devices-catalog an MNO builds from it.
-enum class Output { kStream, kCatalog };
+/// Counts records whose day is earlier than a day already delivered for the
+/// same device. CatalogAccumulator's fast path expects none: it keeps only
+/// each device's latest day open.
+class LateRecordSink final : public sim::RecordSink {
+ public:
+  std::uint64_t records = 0;
+  std::uint64_t late = 0;
+
+  void on_signaling(const signaling::SignalingTransaction& txn, bool) override {
+    see(txn.device, stats::day_of(txn.time));
+  }
+  void on_cdr(const records::Cdr& cdr) override { see(cdr.device, stats::day_of(cdr.time)); }
+  void on_xdr(const records::Xdr& xdr) override { see(xdr.device, stats::day_of(xdr.time)); }
+  void on_dwell(signaling::DeviceHash device, std::int32_t day, cellnet::Plmn,
+                const cellnet::GeoPoint&, double) override {
+    see(device, day);
+  }
+
+ private:
+  std::unordered_map<signaling::DeviceHash, std::int32_t> last_day_;
+
+  void see(signaling::DeviceHash device, std::int32_t day) {
+    ++records;
+    const auto [it, inserted] = last_day_.try_emplace(device, day);
+    if (inserted) return;
+    if (day < it->second) {
+      ++late;
+    } else {
+      it->second = day;
+    }
+  }
+};
+
+/// What a golden run reports: the digest of its record stream (plus metrics
+/// and probe), the digest of the devices-catalog an MNO builds from it, or
+/// the number of records that arrive after a later day of their device.
+enum class Output { kStream, kCatalog, kLateRecords };
+
+std::string report(tracegen::ScenarioBase& scenario, const obs::RunObservation& observation,
+                   Output output, core::CatalogAccumulator::Config catalog = {}) {
+  switch (output) {
+    case Output::kStream:
+      return digest_run(scenario, observation);
+    case Output::kCatalog:
+      return digest_catalog(scenario, std::move(catalog));
+    case Output::kLateRecords: {
+      LateRecordSink sink;
+      scenario.run({&sink});
+      return sink.records == 0 ? "no records" : std::to_string(sink.late);
+    }
+  }
+  return {};
+}
 
 std::string run_mno(unsigned threads, const faults::FaultSchedule* faults = nullptr,
                     Output output = Output::kStream) {
@@ -215,13 +266,11 @@ std::string run_mno(unsigned threads, const faults::FaultSchedule* faults = null
   config.backoff.enabled = faults != nullptr;
   config.obs = observation.view();
   tracegen::MnoScenario scenario{config};
-  if (output == Output::kCatalog) {
-    return digest_catalog(scenario, {scenario.observer_plmn(), scenario.family_plmns()});
-  }
-  return digest_run(scenario, observation);
+  return report(scenario, observation, output,
+                {scenario.observer_plmn(), scenario.family_plmns()});
 }
 
-std::string run_platform(unsigned threads) {
+std::string run_platform(unsigned threads, Output output = Output::kStream) {
   obs::RunObservation observation;
   tracegen::M2MPlatformConfig config;
   config.seed = 7;
@@ -229,7 +278,7 @@ std::string run_platform(unsigned threads) {
   config.threads = threads;
   config.obs = observation.view();
   tracegen::M2MPlatformScenario scenario{config};
-  return digest_run(scenario, observation);
+  return report(scenario, observation, output);
 }
 
 std::string run_smip(unsigned threads, Output output = Output::kStream) {
@@ -241,13 +290,11 @@ std::string run_smip(unsigned threads, Output output = Output::kStream) {
   // Coverage on: SMIP is the scenario that emits dwell records.
   config.obs = observation.view();
   tracegen::SmipScenario scenario{config};
-  if (output == Output::kCatalog) {
-    return digest_catalog(scenario, {scenario.observer_plmn(), {scenario.observer_plmn()}});
-  }
-  return digest_run(scenario, observation);
+  return report(scenario, observation, output,
+                {scenario.observer_plmn(), {scenario.observer_plmn()}});
 }
 
-std::string run_storm(unsigned threads) {
+std::string run_storm(unsigned threads, Output output = Output::kStream) {
   // The congestion model is borrowed by the engine and rolled during the
   // run, so every run gets a fresh one. Operator ids come from a throwaway
   // scenario with the same world seed (identical worlds build identically).
@@ -275,7 +322,7 @@ std::string run_storm(unsigned threads) {
   config.congestion = &congestion;
   config.obs = observation.view();
   tracegen::StormScenario scenario{config};
-  return digest_run(scenario, observation);
+  return report(scenario, observation, output);
 }
 
 std::string run_mno_faults(unsigned threads, Output output = Output::kStream) {
@@ -317,11 +364,13 @@ void check_golden(const std::string& scenario,
 
 TEST(GoldenDigests, Mno) { check_golden("mno", [](unsigned t) { return run_mno(t); }); }
 
-TEST(GoldenDigests, Platform) { check_golden("platform", run_platform); }
+TEST(GoldenDigests, Platform) {
+  check_golden("platform", [](unsigned t) { return run_platform(t); });
+}
 
 TEST(GoldenDigests, Smip) { check_golden("smip", [](unsigned t) { return run_smip(t); }); }
 
-TEST(GoldenDigests, Storm) { check_golden("storm", run_storm); }
+TEST(GoldenDigests, Storm) { check_golden("storm", [](unsigned t) { return run_storm(t); }); }
 
 TEST(GoldenDigests, MnoFaultSchedule) {
   check_golden("mno_faults", [](unsigned t) { return run_mno_faults(t); });
@@ -339,6 +388,23 @@ TEST(GoldenDigests, SmipCatalog) {
 TEST(GoldenDigests, MnoFaultScheduleCatalog) {
   check_golden("catalog/mno_faults",
                [](unsigned t) { return run_mno_faults(t, Output::kCatalog); });
+}
+
+TEST(EngineOrder, DeviceDaysNeverGoBackwards) {
+  const std::map<std::string, std::function<std::string(unsigned)>> scenarios = {
+      {"mno", [](unsigned t) { return run_mno(t, nullptr, Output::kLateRecords); }},
+      {"platform", [](unsigned t) { return run_platform(t, Output::kLateRecords); }},
+      {"smip", [](unsigned t) { return run_smip(t, Output::kLateRecords); }},
+      {"storm", [](unsigned t) { return run_storm(t, Output::kLateRecords); }},
+      {"mno_faults", [](unsigned t) { return run_mno_faults(t, Output::kLateRecords); }},
+  };
+  for (const auto& [name, run] : scenarios) {
+    for (const unsigned threads : {1u, 4u}) {
+      EXPECT_EQ(run(threads), "0")
+          << "records arrived after a later day of their device in scenario '" << name
+          << "' at threads=" << threads;
+    }
+  }
 }
 
 }  // namespace
