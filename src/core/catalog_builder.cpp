@@ -15,12 +15,22 @@ void insert_unique(std::vector<T>& list, const T& value) {
   if (std::find(list.begin(), list.end(), value) == list.end()) list.push_back(value);
 }
 
-constexpr std::size_t kMinSlots = 1024;
+constexpr std::size_t kMinSlots = 64;
 
 /// Fibonacci hashing: the top log2(slots) bits of the product.
 std::size_t slot_of(signaling::DeviceHash device, std::size_t slots) noexcept {
   return static_cast<std::size_t>((device * 0x9E3779B97F4A7C15ull) >>
                                   (64 - std::countr_zero(slots)));
+}
+
+/// Prefetches every cache line of `*object`.
+template <typename T>
+void prefetch_lines(const T* object) {
+  const auto* bytes = reinterpret_cast<const char*>(object);
+  for (std::size_t offset = 0; offset < sizeof(T); offset += 64) {
+    __builtin_prefetch(bytes + offset);
+  }
+  __builtin_prefetch(bytes + sizeof(T) - 1);
 }
 
 }  // namespace
@@ -194,12 +204,7 @@ records::DevicesCatalog CatalogAccumulator::finalize() {
   records::DevicesCatalog catalog;
   catalog.reserve(order.size());
   for (std::size_t i = 0; i < order.size(); ++i) {
-    if (i + kPrefetch < order.size()) {
-      const char* ahead = reinterpret_cast<const char*>(order[i + kPrefetch].partial);
-      __builtin_prefetch(ahead);
-      __builtin_prefetch(ahead + 64);
-      __builtin_prefetch(ahead + 128);
-    }
+    if (i + kPrefetch < order.size()) prefetch_lines(order[i + kPrefetch].partial);
     Partial& partial = *order[i].partial;
     const bool has_activity =
         partial.signaling_events > 0 || partial.calls > 0 || partial.bytes > 0;
