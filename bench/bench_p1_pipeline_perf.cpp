@@ -17,11 +17,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <sstream>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "ckpt/shutdown.hpp"
@@ -358,57 +360,60 @@ struct TraceOverheadGuard {
 /// A/B guard for the flight recorder at reduced scale: a traced run must
 /// produce a bit-identical record stream (tracing may never perturb the
 /// simulation — exit nonzero otherwise), and its wall-time overhead must
-/// stay under WTR_TRACE_OVERHEAD_MAX_PCT (default 3%). Min-of-3 walls per
-/// arm; deltas inside an absolute noise floor pass regardless of ratio,
-/// since tiny guard-scale runs can't resolve sub-millisecond differences.
+/// stay under WTR_TRACE_OVERHEAD_MAX_PCT (default 3%). The off and on arms
+/// alternate (off, on, off, on, ...) so drift in host load hits both arms
+/// alike, and the medians of the two arms are compared; deltas inside an
+/// absolute noise floor pass regardless of ratio, since tiny guard-scale
+/// runs can't resolve sub-millisecond differences.
 TraceOverheadGuard run_trace_overhead_guard(unsigned threads) {
   const std::size_t devices = std::max<std::size_t>(bench::scale_override(4'000) / 5, 200);
   const auto trace_path =
       (std::filesystem::temp_directory_path() / "wtr_bench_p1_guard_trace.json").string();
   std::cerr << "[bench] trace overhead guard: " << devices
-            << " devices, recorder off vs on...\n";
+            << " devices, recorder off vs on, interleaved...\n";
 
-  constexpr int kReps = 3;
+  constexpr int kPairs = 5;
   TraceOverheadGuard guard;
   std::string off_stream, on_stream;
+  std::uint64_t off_events = 0;
   bool interrupted = false;
 
-  auto arm = [&](const std::string& path, std::string& stream, std::uint64_t& events) {
-    double best = 0.0;
-    for (int rep = 0; rep < kReps && !interrupted; ++rep) {
-      tracegen::MnoScenarioConfig config;
-      config.seed = kPipelineSeed;
-      config.total_devices = devices;
-      config.threads = threads;
-      config.build_coverage = false;
-      config.telemetry.trace_path = path;
-      GuardStream sink;
-      const auto start = std::chrono::steady_clock::now();
-      tracegen::MnoScenario scenario{config};
-      scenario.run({&sink});
-      const double wall =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-              .count();
-      if (scenario.engine().interrupted()) {
-        interrupted = true;
-        return 0.0;
-      }
-      if (const auto* rec = scenario.engine().flight_recorder()) {
-        events = rec->events_recorded();
-      }
-      if (rep == 0) {
-        stream = std::move(sink.stream);
-      }
-      best = rep == 0 ? wall : std::min(best, wall);
+  // One run of one arm; keeps the record stream of the arm's first run.
+  auto run = [&](const std::string& path, std::string& stream, std::uint64_t& events) {
+    tracegen::MnoScenarioConfig config;
+    config.seed = kPipelineSeed;
+    config.total_devices = devices;
+    config.threads = threads;
+    config.build_coverage = false;
+    config.telemetry.trace_path = path;
+    GuardStream sink;
+    const auto start = std::chrono::steady_clock::now();
+    tracegen::MnoScenario scenario{config};
+    scenario.run({&sink});
+    const double wall =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    if (scenario.engine().interrupted()) interrupted = true;
+    if (const auto* rec = scenario.engine().flight_recorder()) {
+      events = rec->events_recorded();
     }
-    return best;
+    if (stream.empty()) stream = std::move(sink.stream);
+    return wall;
+  };
+  auto median = [](std::vector<double> walls) {
+    std::sort(walls.begin(), walls.end());
+    return walls[walls.size() / 2];
   };
 
-  std::uint64_t off_events = 0;
-  guard.off_wall_s = arm("", off_stream, off_events);
-  guard.on_wall_s = arm(trace_path, on_stream, guard.trace_events);
+  std::vector<double> off_walls, on_walls;
+  for (int pair = 0; pair < kPairs && !interrupted; ++pair) {
+    off_walls.push_back(run("", off_stream, off_events));
+    if (interrupted) break;
+    on_walls.push_back(run(trace_path, on_stream, guard.trace_events));
+  }
   std::filesystem::remove(trace_path);
   if (interrupted) return {};  // Ctrl-C mid-guard: nothing to assert
+  guard.off_wall_s = median(off_walls);
+  guard.on_wall_s = median(on_walls);
 
   if (off_stream != on_stream) {
     std::cerr << "[bench] FAIL: enabling the flight recorder changed the "

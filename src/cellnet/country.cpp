@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace wtr::cellnet {
 
@@ -97,12 +100,32 @@ constexpr std::array<CountryInfo, 72> kCountries{{
 
 std::span<const CountryInfo> all_countries() noexcept { return kCountries; }
 
-std::optional<CountryInfo> country_by_iso(std::string_view iso) noexcept {
+std::optional<CountryId> find_country(std::string_view iso) noexcept {
   const auto it = std::lower_bound(
       kCountries.begin(), kCountries.end(), iso,
       [](const CountryInfo& info, std::string_view key) { return info.iso < key; });
-  if (it != kCountries.end() && it->iso == iso) return *it;
-  return std::nullopt;
+  if (it == kCountries.end() || it->iso != iso) return std::nullopt;
+  return static_cast<CountryId>(it - kCountries.begin());
+}
+
+CountryId country_id(std::string_view iso) {
+  const auto id = find_country(iso);
+  if (!id) {
+    throw std::invalid_argument("unknown ISO country code '" + std::string(iso) + "'");
+  }
+  return *id;
+}
+
+std::string_view country_iso(CountryId id) noexcept {
+  if (id == kNoCountry) return {};
+  assert(id < kCountries.size());
+  return kCountries[id].iso;
+}
+
+std::optional<CountryInfo> country_by_iso(std::string_view iso) noexcept {
+  const auto id = find_country(iso);
+  if (!id) return std::nullopt;
+  return kCountries[*id];
 }
 
 std::optional<CountryInfo> country_by_mcc(std::uint16_t mcc) noexcept {

@@ -40,6 +40,22 @@ struct CountryInfo {
 /// Full static table (sorted by ISO code).
 [[nodiscard]] std::span<const CountryInfo> all_countries() noexcept;
 
+/// Dense country id: the index of the country in all_countries(). The
+/// simulator interns ISO codes to ids when a scenario is built, so per-wake
+/// code compares and indexes integers instead of strings.
+using CountryId = std::uint16_t;
+inline constexpr CountryId kNoCountry = ~CountryId{0};
+
+/// Id of an ISO alpha-2 code; nullopt when unknown.
+[[nodiscard]] std::optional<CountryId> find_country(std::string_view iso) noexcept;
+
+/// Id of an ISO alpha-2 code; throws std::invalid_argument naming the code
+/// when it is not in the table.
+[[nodiscard]] CountryId country_id(std::string_view iso);
+
+/// ISO code of an id; "" for kNoCountry.
+[[nodiscard]] std::string_view country_iso(CountryId id) noexcept;
+
 /// Lookup by ISO alpha-2 code ("ES"); nullopt when unknown.
 [[nodiscard]] std::optional<CountryInfo> country_by_iso(std::string_view iso) noexcept;
 

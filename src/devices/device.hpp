@@ -6,9 +6,9 @@
 // this per-device dispersion), and physical location state.
 
 #include <cstdint>
-#include <string>
 
 #include "cellnet/apn.hpp"
+#include "cellnet/country.hpp"
 #include "cellnet/imei.hpp"
 #include "cellnet/imsi.hpp"
 #include "devices/behavior_profile.hpp"
@@ -43,13 +43,14 @@ struct Device {
   std::int32_t arrival_day = 0;
   std::int32_t departure_day = 1;  // exclusive
 
-  // Physical placement: ISO country the device currently sits in, and its
+  // Physical placement: the country the device currently sits in, and its
   // position in meters east/north of that country's anchor.
-  std::string current_country;
+  cellnet::CountryId current_country = cellnet::kNoCountry;
+  // Base (deployment) country, for mobility models that orbit a home point.
+  cellnet::CountryId home_country = cellnet::kNoCountry;
   double east_m = 0.0;
   double north_m = 0.0;
-  // Base (deployment) location, for mobility models that orbit a home point.
-  std::string home_country;
+  // Base (deployment) location.
   double home_east_m = 0.0;
   double home_north_m = 0.0;
 

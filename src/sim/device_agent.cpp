@@ -132,9 +132,12 @@ DeviceAgent::Serving DeviceAgent::locate(const AgentContext& ctx,
     }
   } else {
     // Coverage disabled: approximate position from the country anchor.
-    const auto country = cellnet::country_by_iso(device_->current_country);
+    const auto countries = cellnet::all_countries();
     const cellnet::GeoPoint anchor =
-        country ? cellnet::GeoPoint{country->lat, country->lon} : cellnet::GeoPoint{};
+        device_->current_country < countries.size()
+            ? cellnet::GeoPoint{countries[device_->current_country].lat,
+                                countries[device_->current_country].lon}
+            : cellnet::GeoPoint{};
     serving.sector = 0;
     serving.location = cellnet::offset_m(anchor, device_->east_m, device_->north_m);
   }
@@ -181,7 +184,7 @@ void DeviceAgent::flush_dwell(const AgentContext& ctx, SimTime now) {
 bool DeviceAgent::try_attach(const AgentContext& ctx, SimTime now,
                              std::optional<topology::OperatorId> exclude) {
   assert(!emm_.attached());
-  auto candidates = ctx.selector->scan(*device_, exclude, rng_);
+  const auto candidates = ctx.selector->scan(*device_, exclude, rng_, *ctx.scan_scratch);
   // Stickiness: move the last successfully used network to the front.
   if (preferred_visited_ && (!exclude || *exclude != *preferred_visited_)) {
     const auto it = std::find_if(candidates.begin(), candidates.end(),
@@ -437,7 +440,7 @@ void DeviceAgent::finalize(SimTime now, const AgentContext& ctx) {
 
 void DeviceAgent::save_state(util::BinWriter& out) const {
   out.u64(device_->id);
-  out.str(device_->current_country);
+  out.str(cellnet::country_iso(device_->current_country));
   out.f64(device_->east_m);
   out.f64(device_->north_m);
   for (const auto word : rng_.state()) out.u64(word);
@@ -469,7 +472,15 @@ void DeviceAgent::restore_state(util::BinReader& in) {
         "DeviceAgent::restore_state: snapshot device id does not match the "
         "rebuilt fleet (different scenario seed or composition?)");
   }
-  device_->current_country = in.str();
+  const std::string country = in.str();
+  if (country.empty()) {
+    device_->current_country = cellnet::kNoCountry;
+  } else if (const auto id = cellnet::find_country(country)) {
+    device_->current_country = *id;
+  } else {
+    throw std::runtime_error("DeviceAgent::restore_state: snapshot names unknown country '" +
+                             country + "'");
+  }
   device_->east_m = in.f64();
   device_->north_m = in.f64();
   std::array<std::uint64_t, 4> rng_state{};
@@ -499,7 +510,7 @@ void DeviceAgent::restore_state(util::BinReader& in) {
 }
 
 std::optional<SimTime> DeviceAgent::on_wake(SimTime now, const AgentContext& ctx) {
-  assert(ctx.world && ctx.selector && ctx.outcomes && ctx.sink);
+  assert(ctx.world && ctx.selector && ctx.outcomes && ctx.sink && ctx.scan_scratch);
   if (finalized_) return std::nullopt;
   if (now >= departure_time()) {
     finalize(now, ctx);
@@ -509,7 +520,7 @@ std::optional<SimTime> DeviceAgent::on_wake(SimTime now, const AgentContext& ctx
   // Dwell at the previous location accrues until this wake.
   flush_dwell(ctx, now);
 
-  const std::string country_before = device_->current_country;
+  const cellnet::CountryId country_before = device_->current_country;
   advance_position(*device_, static_cast<double>(now - last_wake_), options_->corridor,
                    rng_);
   last_wake_ = now;

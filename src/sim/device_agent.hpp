@@ -58,6 +58,8 @@ struct AgentContext {
   const NetworkSelector* selector = nullptr;
   const signaling::OutcomePolicy* outcomes = nullptr;
   RecordSink* sink = nullptr;
+  /// Buffers network scans reuse; owned by the event loop, one per shard.
+  ScanScratch* scan_scratch = nullptr;
 };
 
 /// Synchronized check-in (thundering herd): replaces the exponential
@@ -156,7 +158,8 @@ class DeviceAgent {
   /// serving cell, dwell bookkeeping). The immutable identity/behaviour
   /// fields are rebuilt deterministically by the scenario; restore_state
   /// verifies the device id matches and throws std::runtime_error when the
-  /// snapshot belongs to a differently composed fleet.
+  /// snapshot belongs to a differently composed fleet or names a country
+  /// that is not in the country table.
   void save_state(util::BinWriter& out) const;
   void restore_state(util::BinReader& in);
 

@@ -342,11 +342,13 @@ void Engine::run_shard_window(Shard& shard, EventQueue& queue, Sink& sink,
   // At K>1 the records are buffered, and the merge replays them in global
   // order; at K=1 this queue is the global queue and the sink is the fan-out.
   constexpr bool kBuffered = std::is_same_v<Sink, RecordBuffer>;
+  ScanScratch scan_scratch;
   AgentContext ctx;
   ctx.world = &world_;
   ctx.selector = &selector_;
   ctx.outcomes = &shard.outcomes;
   ctx.sink = &sink;
+  ctx.scan_scratch = &scan_scratch;
 
   // Shard-thread-side telemetry: this thread is the sole writer of
   // shard.track and of the shard's busy/hwm fields; the pool.wait() that

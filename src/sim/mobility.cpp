@@ -1,6 +1,8 @@
 #include "sim/mobility.hpp"
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "stats/distributions.hpp"
 #include "stats/sim_time.hpp"
@@ -19,6 +21,20 @@ void random_waypoint(devices::Device& device, double cx, double cy, double radiu
 }
 
 }  // namespace
+
+TravelCorridor make_corridor(std::initializer_list<std::string_view> isos) {
+  TravelCorridor corridor;
+  corridor.reserve(isos.size());
+  for (const auto iso : isos) {
+    const auto id = cellnet::find_country(iso);
+    if (!id) {
+      throw std::invalid_argument("AgentOptions::corridor: unknown ISO country code '" +
+                                  std::string(iso) + "'");
+    }
+    corridor.push_back(*id);
+  }
+  return corridor;
+}
 
 void advance_position(devices::Device& device, double dt_s, const TravelCorridor& corridor,
                       stats::Rng& rng) {
@@ -53,7 +69,7 @@ void advance_position(devices::Device& device, double dt_s, const TravelCorridor
       // destination country's anchor.
       const double p_trip = 1.0 - std::exp(-profile.p_cross_country_trip * dt_days);
       if (!corridor.empty() && rng.bernoulli(p_trip)) {
-        const auto& destination = corridor[rng.below(corridor.size())];
+        const auto destination = corridor[rng.below(corridor.size())];
         if (destination != device.current_country) {
           device.current_country = destination;
           random_waypoint(device, 0.0, 0.0, profile.commute_radius_m, rng);

@@ -5,7 +5,8 @@
 // reselection, human carriers moving inside a metro area, and long-haul
 // devices (cars, trackers) that cross regions and occasionally countries.
 
-#include <string>
+#include <initializer_list>
+#include <string_view>
 #include <vector>
 
 #include "devices/device.hpp"
@@ -16,7 +17,11 @@ namespace wtr::sim {
 /// Countries a long-haul device may hop to (a travel corridor); usually the
 /// deployment country plus its neighbours. An empty corridor disables
 /// cross-country trips regardless of the profile.
-using TravelCorridor = std::vector<std::string>;
+using TravelCorridor = std::vector<cellnet::CountryId>;
+
+/// Intern ISO codes into a corridor, in order. Throws std::invalid_argument
+/// naming the first code that is not in cellnet::all_countries().
+[[nodiscard]] TravelCorridor make_corridor(std::initializer_list<std::string_view> isos);
 
 /// Advance a device's position by dt seconds. Mutates current position and
 /// (for long-haul devices that cross a border) current_country.

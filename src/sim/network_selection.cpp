@@ -77,46 +77,52 @@ std::optional<cellnet::Rat> NetworkSelector::radio_fallback_rat(
   return std::nullopt;
 }
 
-std::vector<NetworkChoice> NetworkSelector::scan(const devices::Device& device,
-                                                 std::optional<topology::OperatorId> exclude,
-                                                 stats::Rng& rng) const {
+std::span<NetworkChoice> NetworkSelector::scan(const devices::Device& device,
+                                               std::optional<topology::OperatorId> exclude,
+                                               stats::Rng& rng, ScanScratch& scratch) const {
   const auto& operators = world_->operators();
-  const auto& home_op = operators.get(device.home_operator);
-  std::vector<NetworkChoice> out;
-  std::vector<bool> listed(operators.size(), false);
+  auto& out = scratch.choices;
+  out.clear();
 
+  // A network is listed at most once; the list holds a handful of entries,
+  // so a linear search beats a per-scan bitmap over every operator.
   auto push = [&](topology::OperatorId visited, bool is_home) {
-    if (listed[visited]) return;
     if (exclude && *exclude == visited) return;
+    if (std::any_of(out.begin(), out.end(),
+                    [&](const NetworkChoice& c) { return c.visited == visited; })) {
+      return;
+    }
     const auto rat = radio_rat(device, visited);
     if (!rat) return;  // no radio overlap at all: the device cannot even try
-    listed[visited] = true;
     out.push_back(NetworkChoice{visited, *rat, is_home});
   };
 
   // Home radio network first when in the home country.
-  if (device.current_country == home_op.country_iso) {
+  if (device.current_country == operators.get(device.home_operator).country) {
     push(operators.radio_network_of(device.home_operator), true);
   }
 
   // Steering-preferred partners: weighted sampling without replacement so
   // the preferred network usually (not always) leads.
-  auto candidates = world_->steering().candidates(
-      operators, world_->bilateral(), world_->hubs(), device.home_operator,
-      device.current_country);
+  auto& candidates = scratch.candidates;
+  auto& weights = scratch.weights;
+  world_->steering().candidates(operators, world_->bilateral(), world_->hubs(),
+                                device.home_operator, device.current_country, std::nullopt,
+                                candidates);
+  weights.clear();
+  for (const auto& candidate : candidates) weights.push_back(candidate.weight);
   while (!candidates.empty()) {
-    std::vector<double> weights;
-    weights.reserve(candidates.size());
-    for (const auto& candidate : candidates) weights.push_back(candidate.weight);
     const std::size_t i = rng.weighted_index(weights);
     push(candidates[i].visited, false);
     candidates.erase(candidates.begin() + static_cast<std::ptrdiff_t>(i));
+    weights.erase(weights.begin() + static_cast<std::ptrdiff_t>(i));
   }
 
   // Remaining local MNOs (no commercial path — attempts will be rejected).
-  auto rest = operators.mnos_in_country(device.current_country);
-  rng.shuffle(rest);
-  for (topology::OperatorId visited : rest) push(visited, false);
+  const auto local = operators.mnos_in_country(device.current_country);
+  scratch.rest.assign(local.begin(), local.end());
+  rng.shuffle(scratch.rest);
+  for (topology::OperatorId visited : scratch.rest) push(visited, false);
 
   return out;
 }
@@ -125,10 +131,9 @@ std::optional<NetworkChoice> NetworkSelector::choose(
     const devices::Device& device, std::optional<topology::OperatorId> exclude,
     stats::Rng& rng) const {
   const auto& operators = world_->operators();
-  const auto& home_op = operators.get(device.home_operator);
 
   // Native case: at home, camp on the home radio network.
-  if (device.current_country == home_op.country_iso) {
+  if (device.current_country == operators.get(device.home_operator).country) {
     const topology::OperatorId radio = operators.radio_network_of(device.home_operator);
     if (!exclude || *exclude != radio) {
       if (const auto rat = best_rat(device, radio)) {

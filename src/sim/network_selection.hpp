@@ -8,6 +8,7 @@
 // simulator reproduces M2M's 2G dependence (Fig. 9).
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "devices/device.hpp"
@@ -20,6 +21,16 @@ struct NetworkChoice {
   topology::OperatorId visited = topology::kInvalidOperator;
   cellnet::Rat rat = cellnet::Rat::kTwoG;
   bool is_home_network = false;  // camping on the home (or host) network
+};
+
+/// Reusable buffers for NetworkSelector::scan. One per event loop: a scan
+/// that reuses them allocates nothing once they have grown to the largest
+/// country. Their contents mean nothing between scans.
+struct ScanScratch {
+  std::vector<topology::VisitedCandidate> candidates;
+  std::vector<double> weights;
+  std::vector<topology::OperatorId> rest;
+  std::vector<NetworkChoice> choices;
 };
 
 class NetworkSelector {
@@ -53,10 +64,11 @@ class NetworkSelector {
   /// arrangement with — a device cannot know that in advance; the visited
   /// network answers RoamingNotAllowed, which is how those records enter
   /// the traces (§3.3). RATs here are radio-feasible (hardware ∩
-  /// deployment), NOT agreement-filtered.
-  [[nodiscard]] std::vector<NetworkChoice> scan(const devices::Device& device,
-                                                std::optional<topology::OperatorId> exclude,
-                                                stats::Rng& rng) const;
+  /// deployment), NOT agreement-filtered. The result lives in
+  /// `scratch.choices` until the next scan with the same scratch.
+  [[nodiscard]] std::span<NetworkChoice> scan(const devices::Device& device,
+                                              std::optional<topology::OperatorId> exclude,
+                                              stats::Rng& rng, ScanScratch& scratch) const;
 
   /// Radio-feasible best RAT (hardware ∩ deployment, no agreement filter).
   [[nodiscard]] std::optional<cellnet::Rat> radio_rat(const devices::Device& device,

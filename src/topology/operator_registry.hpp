@@ -7,11 +7,13 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "cellnet/country.hpp"
 #include "cellnet/plmn.hpp"
 #include "cellnet/rat.hpp"
 
@@ -27,6 +29,7 @@ struct Operator {
   cellnet::Plmn plmn{};
   std::string name;
   std::string country_iso;  // ISO alpha-2 of the home country
+  cellnet::CountryId country = cellnet::kNoCountry;  // its interned id
   OperatorKind kind = OperatorKind::kMno;
   OperatorId host = kInvalidOperator;  // hosting MNO, for MVNOs
   cellnet::RatMask deployed_rats{};    // technologies on the radio network
@@ -34,7 +37,8 @@ struct Operator {
 
 class OperatorRegistry {
  public:
-  /// Register a facilities-based MNO. PLMN must be unique.
+  /// Register a facilities-based MNO. PLMN must be unique; the country
+  /// must be in cellnet::all_countries() (std::invalid_argument otherwise).
   OperatorId add_mno(cellnet::Plmn plmn, std::string name, std::string country_iso,
                      cellnet::RatMask deployed_rats);
 
@@ -47,8 +51,13 @@ class OperatorRegistry {
   [[nodiscard]] std::size_t size() const noexcept { return operators_.size(); }
   [[nodiscard]] const std::vector<Operator>& all() const noexcept { return operators_; }
 
-  /// MNOs (not MVNOs) whose home country matches.
-  [[nodiscard]] std::vector<OperatorId> mnos_in_country(std::string_view iso) const;
+  /// MNOs (not MVNOs) whose home country matches, in id order. The span
+  /// stays valid until the next add_mno.
+  [[nodiscard]] std::span<const OperatorId> mnos_in_country(
+      cellnet::CountryId country) const noexcept;
+  [[nodiscard]] std::span<const OperatorId> mnos_in_country(std::string_view iso) const {
+    return mnos_in_country(cellnet::country_id(iso));
+  }
 
   /// The MNO whose radio network an operator's customers use at home:
   /// itself for an MNO, the host for an MVNO.
@@ -57,6 +66,9 @@ class OperatorRegistry {
  private:
   std::vector<Operator> operators_;
   std::unordered_map<cellnet::Plmn, OperatorId> by_plmn_;
+  /// MNO ids per CountryId, appended by add_mno (so in id order).
+  std::vector<std::vector<OperatorId>> mnos_by_country_ =
+      std::vector<std::vector<OperatorId>>(cellnet::all_countries().size());
 };
 
 }  // namespace wtr::topology

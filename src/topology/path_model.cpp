@@ -1,6 +1,5 @@
 #include "topology/path_model.hpp"
 
-#include <cassert>
 #include <limits>
 
 #include "cellnet/country.hpp"
@@ -11,10 +10,8 @@ PathModel::PathModel(const World& world, PathModelConfig config)
     : world_(&world), config_(config) {}
 
 cellnet::GeoPoint PathModel::anchor_of(OperatorId op) const {
-  const auto& iso = world_->operators().get(op).country_iso;
-  const auto country = cellnet::country_by_iso(iso);
-  assert(country.has_value());
-  return cellnet::GeoPoint{country->lat, country->lon};
+  const auto& country = cellnet::all_countries()[world_->operators().get(op).country];
+  return cellnet::GeoPoint{country.lat, country.lon};
 }
 
 double PathModel::operator_distance_km(OperatorId a, OperatorId b) const {

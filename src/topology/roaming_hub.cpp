@@ -28,6 +28,7 @@ HubId HubRegistry::add_hub(std::string name, AgreementTerms default_terms) {
   hub.name = std::move(name);
   hubs_.push_back(std::move(hub));
   default_terms_.push_back(default_terms);
+  peers_.emplace_back();
   return hubs_.back().id;
 }
 
@@ -36,15 +37,16 @@ void HubRegistry::add_member(HubId hub, OperatorId op) {
   auto& members = hubs_[hub].members;
   if (std::find(members.begin(), members.end(), op) != members.end()) return;
   members.push_back(op);
+  if (memberships_.size() <= op) memberships_.resize(static_cast<std::size_t>(op) + 1);
   memberships_[op].push_back(hub);
 }
 
 void HubRegistry::peer(HubId a, HubId b) {
   assert(static_cast<std::size_t>(a) < hubs_.size());
   assert(static_cast<std::size_t>(b) < hubs_.size());
-  if (a == b) return;
-  peers_[a].insert(b);
-  peers_[b].insert(a);
+  if (a == b || is_peer(a, b)) return;
+  peers_[a].push_back(b);
+  peers_[b].push_back(a);
 }
 
 const RoamingHub& HubRegistry::get(HubId id) const {
@@ -53,14 +55,18 @@ const RoamingHub& HubRegistry::get(HubId id) const {
 }
 
 bool HubRegistry::is_member(HubId hub, OperatorId op) const {
-  const auto it = memberships_.find(op);
-  if (it == memberships_.end()) return false;
-  return std::find(it->second.begin(), it->second.end(), hub) != it->second.end();
+  const auto hubs = hubs_of(op);
+  return std::find(hubs.begin(), hubs.end(), hub) != hubs.end();
 }
 
-std::vector<HubId> HubRegistry::hubs_of(OperatorId op) const {
-  const auto it = memberships_.find(op);
-  return it == memberships_.end() ? std::vector<HubId>{} : it->second;
+std::span<const HubId> HubRegistry::hubs_of(OperatorId op) const noexcept {
+  if (op >= memberships_.size()) return {};
+  return memberships_[op];
+}
+
+bool HubRegistry::is_peer(HubId a, HubId b) const {
+  const auto& peers = peers_[a];
+  return std::find(peers.begin(), peers.end(), b) != peers.end();
 }
 
 AgreementTerms HubRegistry::terms_of(HubId hub) const {
@@ -83,10 +89,8 @@ EffectiveRoaming HubRegistry::resolve(const RoamingAgreementGraph& bilateral,
   }
   // One hop of hub peering.
   for (HubId hh : home_hubs) {
-    const auto peer_it = peers_.find(hh);
-    if (peer_it == peers_.end()) continue;
     for (HubId vh : visited_hubs) {
-      if (peer_it->second.contains(vh)) {
+      if (is_peer(hh, vh)) {
         return EffectiveRoaming{RoamingPath::kViaHubPeering,
                                 merge_terms(terms_of(hh), terms_of(vh)), hh};
       }

@@ -8,9 +8,8 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "topology/operator_registry.hpp"
@@ -59,7 +58,8 @@ class HubRegistry {
   [[nodiscard]] const RoamingHub& get(HubId id) const;
   [[nodiscard]] std::size_t size() const noexcept { return hubs_.size(); }
   [[nodiscard]] bool is_member(HubId hub, OperatorId op) const;
-  [[nodiscard]] std::vector<HubId> hubs_of(OperatorId op) const;
+  /// Hubs the operator joined, in join order; empty for a non-member.
+  [[nodiscard]] std::span<const HubId> hubs_of(OperatorId op) const noexcept;
 
   /// Resolve the effective roaming relation home → visited, considering the
   /// direct bilateral graph first (it can carry bespoke terms), then shared
@@ -69,11 +69,12 @@ class HubRegistry {
 
  private:
   [[nodiscard]] AgreementTerms terms_of(HubId hub) const;
+  [[nodiscard]] bool is_peer(HubId a, HubId b) const;
 
   std::vector<RoamingHub> hubs_;
   std::vector<AgreementTerms> default_terms_;
-  std::unordered_map<OperatorId, std::vector<HubId>> memberships_;
-  std::unordered_map<HubId, std::unordered_set<HubId>> peers_;
+  std::vector<std::vector<HubId>> memberships_;  // indexed by OperatorId
+  std::vector<std::vector<HubId>> peers_;        // indexed by HubId
 };
 
 /// Intersection of two terms: RAT sets intersect; breakout degrades to the

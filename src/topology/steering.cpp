@@ -4,37 +4,40 @@
 
 namespace wtr::topology {
 
-std::string SteeringPolicy::override_key(OperatorId home, std::string_view country_iso) {
-  return std::to_string(home) + ":" + std::string(country_iso);
+void SteeringPolicy::set_preference(OperatorId home, cellnet::CountryId country,
+                                    const std::vector<std::pair<OperatorId, double>>& weights) {
+  auto& installed = overrides_[override_key(home, country)];
+  for (const auto& [visited, weight] : weights) {
+    const auto it = std::find_if(installed.begin(), installed.end(),
+                                 [&](const auto& entry) { return entry.first == visited; });
+    if (it != installed.end()) {
+      it->second = weight;
+    } else {
+      installed.emplace_back(visited, weight);
+    }
+  }
 }
 
-void SteeringPolicy::set_preference(OperatorId home, std::string country_iso,
-                                    std::vector<std::pair<OperatorId, double>> weights) {
-  auto& map = overrides_[override_key(home, country_iso)];
-  for (const auto& [visited, weight] : weights) map[visited] = weight;
-}
-
-double SteeringPolicy::weight_for(OperatorId home, std::string_view country_iso,
-                                  OperatorId visited) const {
-  const auto it = overrides_.find(override_key(home, country_iso));
-  if (it == overrides_.end()) return 1.0;
-  const auto weight_it = it->second.find(visited);
-  return weight_it == it->second.end() ? 1.0 : weight_it->second;
-}
-
-std::vector<VisitedCandidate> SteeringPolicy::candidates(
-    const OperatorRegistry& operators, const RoamingAgreementGraph& bilateral,
-    const HubRegistry& hubs, OperatorId home, std::string_view country_iso,
-    std::optional<cellnet::Rat> rat) const {
-  std::vector<VisitedCandidate> out;
-  for (OperatorId visited : operators.mnos_in_country(country_iso)) {
+void SteeringPolicy::candidates(const OperatorRegistry& operators,
+                                const RoamingAgreementGraph& bilateral,
+                                const HubRegistry& hubs, OperatorId home,
+                                cellnet::CountryId country, std::optional<cellnet::Rat> rat,
+                                std::vector<VisitedCandidate>& out) const {
+  out.clear();
+  const auto override_it = overrides_.find(override_key(home, country));
+  const Weights* weights = override_it == overrides_.end() ? nullptr : &override_it->second;
+  for (OperatorId visited : operators.mnos_in_country(country)) {
     if (visited == home) continue;
     const EffectiveRoaming roaming = hubs.resolve(bilateral, home, visited);
     if (roaming.path == RoamingPath::kNone) continue;
     if (rat && !roaming.terms.allowed_rats.has(*rat)) continue;
     VisitedCandidate candidate;
     candidate.visited = visited;
-    candidate.weight = weight_for(home, country_iso, visited);
+    if (weights != nullptr) {
+      const auto it = std::find_if(weights->begin(), weights->end(),
+                                   [&](const auto& entry) { return entry.first == visited; });
+      if (it != weights->end()) candidate.weight = it->second;
+    }
     candidate.roaming = roaming;
     out.push_back(candidate);
   }
@@ -42,14 +45,22 @@ std::vector<VisitedCandidate> SteeringPolicy::candidates(
     if (a.weight != b.weight) return a.weight > b.weight;
     return a.visited < b.visited;
   });
+}
+
+std::vector<VisitedCandidate> SteeringPolicy::candidates(
+    const OperatorRegistry& operators, const RoamingAgreementGraph& bilateral,
+    const HubRegistry& hubs, OperatorId home, cellnet::CountryId country,
+    std::optional<cellnet::Rat> rat) const {
+  std::vector<VisitedCandidate> out;
+  candidates(operators, bilateral, hubs, home, country, rat, out);
   return out;
 }
 
 std::optional<VisitedCandidate> SteeringPolicy::pick(
     const OperatorRegistry& operators, const RoamingAgreementGraph& bilateral,
-    const HubRegistry& hubs, OperatorId home, std::string_view country_iso,
+    const HubRegistry& hubs, OperatorId home, cellnet::CountryId country,
     std::optional<cellnet::Rat> rat, stats::Rng& rng) const {
-  const auto options = candidates(operators, bilateral, hubs, home, country_iso, rat);
+  const auto options = candidates(operators, bilateral, hubs, home, country, rat);
   if (options.empty()) return std::nullopt;
   std::vector<double> weights;
   weights.reserve(options.size());

@@ -5,12 +5,12 @@
 // preferences, not radio conditions). §3.3's inter-VMNO switch analysis is
 // driven by how sticky this choice is per device.
 
+#include <cstdint>
 #include <optional>
-#include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "cellnet/country.hpp"
 #include "cellnet/rat.hpp"
 #include "stats/rng.hpp"
 #include "topology/operator_registry.hpp"
@@ -28,33 +28,41 @@ struct VisitedCandidate {
 class SteeringPolicy {
  public:
   /// Install explicit preference weights for (home operator, country).
-  /// Candidates not mentioned keep weight 1.0.
-  void set_preference(OperatorId home, std::string country_iso,
-                      std::vector<std::pair<OperatorId, double>> weights);
+  /// Candidates not mentioned keep weight 1.0; a later call for the same
+  /// pair overrides the weights it names.
+  void set_preference(OperatorId home, cellnet::CountryId country,
+                      const std::vector<std::pair<OperatorId, double>>& weights);
 
   /// Visited-network candidates for a home SIM in a country: every MNO in
   /// the country reachable through some commercial path (and supporting
   /// `rat` under the effective terms when `rat` is given), weighted by
   /// steering preference. Sorted by descending weight (ties by id).
+  /// Replaces the contents of `out`, so a reused buffer allocates nothing.
+  void candidates(const OperatorRegistry& operators, const RoamingAgreementGraph& bilateral,
+                  const HubRegistry& hubs, OperatorId home, cellnet::CountryId country,
+                  std::optional<cellnet::Rat> rat,
+                  std::vector<VisitedCandidate>& out) const;
   [[nodiscard]] std::vector<VisitedCandidate> candidates(
       const OperatorRegistry& operators, const RoamingAgreementGraph& bilateral,
-      const HubRegistry& hubs, OperatorId home, std::string_view country_iso,
+      const HubRegistry& hubs, OperatorId home, cellnet::CountryId country,
       std::optional<cellnet::Rat> rat = std::nullopt) const;
 
   /// Weighted random pick among candidates(); nullopt when none exist.
   [[nodiscard]] std::optional<VisitedCandidate> pick(
       const OperatorRegistry& operators, const RoamingAgreementGraph& bilateral,
-      const HubRegistry& hubs, OperatorId home, std::string_view country_iso,
+      const HubRegistry& hubs, OperatorId home, cellnet::CountryId country,
       std::optional<cellnet::Rat> rat, stats::Rng& rng) const;
 
  private:
-  [[nodiscard]] double weight_for(OperatorId home, std::string_view country_iso,
-                                  OperatorId visited) const;
+  using Weights = std::vector<std::pair<OperatorId, double>>;
 
-  // (home, country) → per-visited weight overrides
-  std::unordered_map<std::string, std::unordered_map<OperatorId, double>> overrides_;
+  [[nodiscard]] static std::uint64_t override_key(OperatorId home,
+                                                  cellnet::CountryId country) noexcept {
+    return (static_cast<std::uint64_t>(home) << 16) | country;
+  }
 
-  static std::string override_key(OperatorId home, std::string_view country_iso);
+  // (home, country) → per-visited weight overrides, a handful per key
+  std::unordered_map<std::uint64_t, Weights> overrides_;
 };
 
 }  // namespace wtr::topology

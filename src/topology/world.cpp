@@ -117,8 +117,7 @@ World World::build(const WorldConfig& config) {
   std::vector<OperatorId> eu_mnos;
   for (const auto& op : world.operators_.all()) {
     if (op.kind != OperatorKind::kMno) continue;
-    const auto country = cellnet::country_by_iso(op.country_iso);
-    if (country && country->region == cellnet::Region::kEurope) {
+    if (cellnet::all_countries()[op.country].region == cellnet::Region::kEurope) {
       eu_mnos.push_back(op.id);
     }
   }
@@ -126,7 +125,7 @@ World World::build(const WorldConfig& config) {
     for (std::size_t j = i + 1; j < eu_mnos.size(); ++j) {
       const auto& a = world.operators_.get(eu_mnos[i]);
       const auto& b = world.operators_.get(eu_mnos[j]);
-      if (a.country_iso == b.country_iso) continue;  // no national roaming here
+      if (a.country == b.country) continue;  // no national roaming here
       world.bilateral_.add_bilateral(a.id, b.id, eu_terms);
     }
   }
@@ -172,9 +171,8 @@ World World::build(const WorldConfig& config) {
   if (config.build_coverage) {
     for (const auto& op : world.operators_.all()) {
       if (op.kind != OperatorKind::kMno) continue;
-      const auto country = cellnet::country_by_iso(op.country_iso);
-      assert(country.has_value());
-      const cellnet::GeoPoint anchor{country->lat, country->lon};
+      const auto& country = cellnet::all_countries()[op.country];
+      const cellnet::GeoPoint anchor{country.lat, country.lon};
       world.coverage_.build_grid(op, anchor, config.grid_plan,
                                  stats::mix64(config.seed, op.plmn.key()));
     }
@@ -183,14 +181,14 @@ World World::build(const WorldConfig& config) {
   // --- Steering: the platform prefers the cheapest partner per country;
   // modelled as a strong preference for the first MNO of each country for
   // the ES HMNO (it concentrates 75% of signaling on 10 VMNOs, §3.2).
-  for (const auto& country : cellnet::all_countries()) {
-    const auto mnos = world.operators_.mnos_in_country(country.iso);
+  const auto country_count = static_cast<cellnet::CountryId>(cellnet::all_countries().size());
+  for (cellnet::CountryId country = 0; country < country_count; ++country) {
+    const auto mnos = world.operators_.mnos_in_country(country);
     if (mnos.empty()) continue;
     std::vector<std::pair<OperatorId, double>> prefs;
     prefs.emplace_back(mnos.front(), 10.0);
     for (std::size_t i = 1; i < mnos.size(); ++i) prefs.emplace_back(mnos[i], 1.0);
-    world.steering_.set_preference(world.well_known_.es_hmno,
-                                   std::string(country.iso), prefs);
+    world.steering_.set_preference(world.well_known_.es_hmno, country, prefs);
   }
 
   return world;

@@ -34,7 +34,7 @@ SmipScenario::SmipScenario(const SmipScenarioConfig& config)
   const auto& wk = world_->well_known();
   // Steer the Dutch provisioner's UK roamers to the observed MNO (see
   // MnoScenario for the rationale).
-  world_->mutable_steering().set_preference(wk.nl_iot_provisioner, "GB",
+  world_->mutable_steering().set_preference(wk.nl_iot_provisioner, cellnet::country_id("GB"),
                                             {{wk.uk_mno, 15.0}});
   sim::AgentOptions options;
   options.retry_rate_boost = 10.0;

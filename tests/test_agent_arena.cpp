@@ -23,8 +23,8 @@ devices::Device make_device(std::int32_t arrival_day, std::int32_t departure_day
   devices::Device device;
   device.profile.mobility = devices::MobilityKind::kStationary;
   device.profile.stationary_jitter_m = 100.0;
-  device.home_country = "GB";
-  device.current_country = "GB";
+  device.home_country = cellnet::country_id("GB");
+  device.current_country = cellnet::country_id("GB");
   device.arrival_day = arrival_day;
   device.departure_day = departure_day;
   return device;
@@ -89,6 +89,30 @@ TEST(AgentArena, HydrationMatchesEagerConstruction) {
   arena.agent(0).save_state(lazy_bytes);
 
   EXPECT_EQ(lazy_bytes.bytes(), eager_bytes.bytes());
+}
+
+// The snapshot keeps the current country as its ISO code; a code outside the
+// country table would restore a device that can never attach, so restore
+// refuses it and names the code.
+TEST(AgentArena, RestoreRejectsUnknownCountry) {
+  devices::Device device = make_device(1, 4);
+  AgentOptions options;
+  stats::Rng rng{42};
+  const stats::SimTime first = DeviceAgent::plan_first_wake(device, rng);
+  DeviceAgent agent{&device, &options, rng, first};
+  util::BinWriter out;
+  agent.save_state(out);
+  // Layout: u64 device id, u64 length, then the ISO code.
+  std::string bytes = out.bytes();
+  ASSERT_EQ(bytes.substr(16, 2), "GB");
+  bytes.replace(16, 2, "XX");
+  util::BinReader in{bytes};
+  try {
+    agent.restore_state(in);
+    FAIL() << "restore accepted an unknown country";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("'XX'"), std::string::npos) << e.what();
+  }
 }
 
 TEST(AgentArena, ResidentBytesTracksHydration) {

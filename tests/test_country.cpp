@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 namespace wtr::cellnet {
 namespace {
@@ -46,6 +47,17 @@ TEST(Country, IsoOfMccFallsBack) {
 TEST(Country, UnknownIso) {
   EXPECT_FALSE(country_by_iso("XX").has_value());
   EXPECT_FALSE(country_by_iso("").has_value());
+}
+
+TEST(Country, IdsIndexTheTable) {
+  const auto countries = all_countries();
+  for (std::size_t i = 0; i < countries.size(); ++i) {
+    EXPECT_EQ(country_id(countries[i].iso), i);
+    EXPECT_EQ(country_iso(static_cast<CountryId>(i)), countries[i].iso);
+  }
+  EXPECT_FALSE(find_country("XX").has_value());
+  EXPECT_THROW((void)country_id("XX"), std::invalid_argument);
+  EXPECT_EQ(country_iso(kNoCountry), "");
 }
 
 TEST(Country, RegionsAssigned) {

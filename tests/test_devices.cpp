@@ -41,6 +41,20 @@ TEST_F(FleetBuilderTest, BuildsRequestedCount) {
   EXPECT_EQ(builder.devices_built(), 100u);
 }
 
+// A fleet placed in a country outside the table would scan no networks and
+// never attach; the builder refuses it and names the code.
+TEST_F(FleetBuilderTest, RejectsUnknownDeploymentCountry) {
+  FleetBuilder builder{world(), pools(), 1};
+  auto spec = base_spec(10);
+  spec.deployment_iso = "XX";
+  try {
+    (void)builder.build(spec);
+    FAIL() << "built a fleet in an unknown country";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'XX'"), std::string::npos) << e.what();
+  }
+}
+
 TEST_F(FleetBuilderTest, UniqueIdsAndImsisAcrossFleets) {
   FleetBuilder builder{world(), pools(), 2};
   const auto a = builder.build(base_spec(200));

@@ -51,8 +51,8 @@ TEST(NbIotSelection, LpwaOnlyDeviceCampsOnNbIot) {
   devices::Device device;
   device.home_operator = world.well_known().nl_iot_provisioner;
   device.capability = cellnet::RatMask::of(cellnet::Rat::kNbIot);
-  device.home_country = "NL";
-  device.current_country = "GB";
+  device.home_country = cellnet::country_id("NL");
+  device.current_country = cellnet::country_id("GB");
   const auto gb = world.operators().mnos_in_country("GB");
   EXPECT_EQ(selector.radio_rat(device, gb[0]), cellnet::Rat::kNbIot);
   EXPECT_FALSE(selector.radio_rat(device, gb[1]).has_value());  // no NB there

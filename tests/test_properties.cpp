@@ -193,7 +193,8 @@ TEST(WorldProperties, SteeringCandidatesAreCountryMnosWithPaths) {
   for (const auto* iso : {"GB", "FR", "BR", "JP", "KE"}) {
     const auto local = world.operators().mnos_in_country(iso);
     const auto candidates = world.steering().candidates(
-        world.operators(), world.bilateral(), world.hubs(), wk.es_hmno, iso);
+        world.operators(), world.bilateral(), world.hubs(), wk.es_hmno,
+        cellnet::country_id(iso));
     for (const auto& candidate : candidates) {
       EXPECT_NE(std::find(local.begin(), local.end(), candidate.visited), local.end());
       EXPECT_NE(candidate.roaming.path, topology::RoamingPath::kNone);

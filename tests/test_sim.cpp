@@ -37,8 +37,8 @@ devices::Device make_device(devices::MobilityKind mobility) {
   device.profile.commute_radius_m = 5'000.0;
   device.profile.stationary_jitter_m = 200.0;
   device.profile.p_cross_country_trip = 1.0;  // certain, for trip tests
-  device.home_country = "GB";
-  device.current_country = "GB";
+  device.home_country = cellnet::country_id("GB");
+  device.current_country = cellnet::country_id("GB");
   device.home_east_m = 1'000.0;
   device.home_north_m = -500.0;
   device.east_m = 1'000.0;
@@ -54,7 +54,7 @@ TEST(Mobility, StationaryStaysNearHome) {
     const double dx = device.east_m - device.home_east_m;
     const double dy = device.north_m - device.home_north_m;
     EXPECT_LT(std::sqrt(dx * dx + dy * dy), 200.0 * 6);
-    EXPECT_EQ(device.current_country, "GB");
+    EXPECT_EQ(device.current_country, cellnet::country_id("GB"));
   }
 }
 
@@ -73,15 +73,26 @@ TEST(Mobility, LongHaulCrossesBordersOnlyWithCorridor) {
   auto stay = make_device(devices::MobilityKind::kLongHaul);
   stats::Rng rng{3};
   for (int i = 0; i < 50; ++i) advance_position(stay, 86'400.0, {}, rng);
-  EXPECT_EQ(stay.current_country, "GB");
+  EXPECT_EQ(stay.current_country, cellnet::country_id("GB"));
 
   auto go = make_device(devices::MobilityKind::kLongHaul);
   bool crossed = false;
   for (int i = 0; i < 50 && !crossed; ++i) {
-    advance_position(go, 86'400.0, {"FR", "BE"}, rng);
-    crossed = go.current_country != "GB";
+    advance_position(go, 86'400.0, make_corridor({"FR", "BE"}), rng);
+    crossed = go.current_country != cellnet::country_id("GB");
   }
   EXPECT_TRUE(crossed);
+}
+
+TEST(Mobility, CorridorRejectsUnknownCountry) {
+  EXPECT_EQ(make_corridor({"GB", "FR"}),
+            (TravelCorridor{cellnet::country_id("GB"), cellnet::country_id("FR")}));
+  try {
+    (void)make_corridor({"GB", "XX", "FR"});
+    FAIL() << "interned an unknown country";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'XX'"), std::string::npos) << e.what();
+  }
 }
 
 TEST(Mobility, ZeroDtIsNoOp) {
@@ -107,8 +118,8 @@ class SelectionTest : public ::testing::Test {
     devices::Device device;
     device.home_operator = world().well_known().es_hmno;
     device.capability = cellnet::RatMask{0b111};
-    device.home_country = "ES";
-    device.current_country = country;
+    device.home_country = cellnet::country_id("ES");
+    device.current_country = cellnet::country_id(country);
     return device;
   }
 };
@@ -118,7 +129,8 @@ TEST_F(SelectionTest, HomeNetworkFirstAtHome) {
   device.home_operator = world().operators().mnos_in_country("ES").front();
   stats::Rng rng{1};
   NetworkSelector selector{world()};
-  const auto scanned = selector.scan(device, std::nullopt, rng);
+  ScanScratch scratch;
+  const auto scanned = selector.scan(device, std::nullopt, rng, scratch);
   ASSERT_FALSE(scanned.empty());
   EXPECT_TRUE(scanned.front().is_home_network);
   EXPECT_EQ(scanned.front().visited, device.home_operator);
@@ -128,7 +140,8 @@ TEST_F(SelectionTest, RoamingScanListsLocalMnos) {
   const auto device = roamer("GB");
   stats::Rng rng{2};
   NetworkSelector selector{world()};
-  const auto scanned = selector.scan(device, std::nullopt, rng);
+  ScanScratch scratch;
+  const auto scanned = selector.scan(device, std::nullopt, rng, scratch);
   EXPECT_GE(scanned.size(), 3u);
   for (const auto& choice : scanned) {
     EXPECT_EQ(world().operators().get(choice.visited).country_iso, "GB");
@@ -140,10 +153,11 @@ TEST_F(SelectionTest, ExclusionRemovesNetwork) {
   const auto device = roamer("GB");
   stats::Rng rng{3};
   NetworkSelector selector{world()};
-  const auto all = selector.scan(device, std::nullopt, rng);
+  ScanScratch scratch;
+  const auto all = selector.scan(device, std::nullopt, rng, scratch);
   ASSERT_FALSE(all.empty());
   const auto excluded = all.front().visited;
-  const auto rest = selector.scan(device, excluded, rng);
+  const auto rest = selector.scan(device, excluded, rng, scratch);
   for (const auto& choice : rest) EXPECT_NE(choice.visited, excluded);
 }
 
@@ -169,7 +183,8 @@ TEST_F(SelectionTest, RadioRatEmptyWhenNoOverlap) {
   const auto jp = world().operators().mnos_in_country("JP").front();
   EXPECT_FALSE(selector.radio_rat(device, jp).has_value());
   stats::Rng rng{4};
-  EXPECT_TRUE(selector.scan(device, std::nullopt, rng).empty());
+  ScanScratch scratch;
+  EXPECT_TRUE(selector.scan(device, std::nullopt, rng, scratch).empty());
 }
 
 TEST_F(SelectionTest, FallbackChainDescends) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "cellnet/country.hpp"
 #include "topology/world.hpp"
 
@@ -133,7 +137,7 @@ TEST(Steering, CandidatesFilteredAndSorted) {
   const auto world = World::build(config);
   const auto& wk = world.well_known();
   const auto candidates = world.steering().candidates(
-      world.operators(), world.bilateral(), world.hubs(), wk.es_hmno, "GB");
+      world.operators(), world.bilateral(), world.hubs(), wk.es_hmno, cellnet::country_id("GB"));
   ASSERT_FALSE(candidates.empty());
   // ES steering prefers the first GB MNO with weight 6.
   EXPECT_EQ(candidates.front().visited, world.operators().mnos_in_country("GB").front());
@@ -150,9 +154,46 @@ TEST(Steering, PickRespectsRatFilter) {
   stats::Rng rng{1};
   const auto picked = world.steering().pick(
       world.operators(), world.bilateral(), world.hubs(),
-      world.well_known().es_hmno, "FR", cellnet::Rat::kFourG, rng);
+      world.well_known().es_hmno, cellnet::country_id("FR"), cellnet::Rat::kFourG, rng);
   ASSERT_TRUE(picked.has_value());
   EXPECT_TRUE(picked->roaming.terms.allowed_rats.has(cellnet::Rat::kFourG));
+}
+
+// Preferences installed after World::build (MnoScenario and SmipScenario do
+// this) reorder candidates by descending weight, ties by id; a later call
+// overrides only the weights it names.
+TEST(Steering, PreferenceInstalledAfterBuildReordersCandidates) {
+  WorldConfig config;
+  config.build_coverage = false;
+  auto world = World::build(config);
+  const auto gb = cellnet::country_id("GB");
+  const auto home = world.operators().mnos_in_country("FR").front();
+  const auto local = world.operators().mnos_in_country(gb);
+  ASSERT_EQ(local.size(), 3u);
+  auto order = [&] {
+    std::vector<std::pair<OperatorId, double>> out;
+    for (const auto& c : world.steering().candidates(world.operators(), world.bilateral(),
+                                                     world.hubs(), home, gb)) {
+      out.emplace_back(c.visited, c.weight);
+    }
+    return out;
+  };
+  using Order = std::vector<std::pair<OperatorId, double>>;
+  EXPECT_EQ(order(), (Order{{local[0], 1.0}, {local[1], 1.0}, {local[2], 1.0}}));
+
+  world.mutable_steering().set_preference(home, gb, {{local[2], 15.0}});
+  EXPECT_EQ(order(), (Order{{local[2], 15.0}, {local[0], 1.0}, {local[1], 1.0}}));
+
+  world.mutable_steering().set_preference(home, gb, {{local[1], 20.0}});
+  EXPECT_EQ(order(), (Order{{local[1], 20.0}, {local[2], 15.0}, {local[0], 1.0}}));
+
+  world.mutable_steering().set_preference(home, gb, {{local[2], 30.0}});
+  EXPECT_EQ(order(), (Order{{local[2], 30.0}, {local[1], 20.0}, {local[0], 1.0}}));
+
+  // Another country's or another home's preference leaves this one alone.
+  world.mutable_steering().set_preference(home, cellnet::country_id("DE"), {{local[0], 99.0}});
+  world.mutable_steering().set_preference(home + 1, gb, {{local[0], 99.0}});
+  EXPECT_EQ(order(), (Order{{local[2], 30.0}, {local[1], 20.0}, {local[0], 1.0}}));
 }
 
 class WorldTest : public ::testing::Test {
@@ -220,6 +261,88 @@ TEST_F(WorldTest, CoverageGridsBuilt) {
   EXPECT_GT(world().coverage().total_sectors(), 10'000u);
   // MVNOs have no grid of their own.
   EXPECT_FALSE(world().coverage().has_grid(wk.uk_mvnos.front()));
+}
+
+// The per-country table must list exactly what a scan of the registry
+// finds: MNOs only, in id order, the pinned HMNOs included.
+TEST_F(WorldTest, MnosInCountryMatchesLinearScan) {
+  const auto& operators = world().operators();
+  const auto countries = cellnet::all_countries();
+  for (std::size_t c = 0; c < countries.size(); ++c) {
+    std::vector<OperatorId> expected;
+    for (const auto& op : operators.all()) {
+      if (op.kind == OperatorKind::kMno && op.country_iso == countries[c].iso) {
+        expected.push_back(op.id);
+      }
+    }
+    const auto by_id = operators.mnos_in_country(static_cast<cellnet::CountryId>(c));
+    EXPECT_EQ(std::vector<OperatorId>(by_id.begin(), by_id.end()), expected)
+        << countries[c].iso;
+    const auto by_iso = operators.mnos_in_country(countries[c].iso);
+    EXPECT_EQ(std::vector<OperatorId>(by_iso.begin(), by_iso.end()), expected);
+  }
+  const auto& wk = world().well_known();
+  for (const auto& [iso, hmno] : {std::pair{"ES", wk.es_hmno}, std::pair{"DE", wk.de_hmno},
+                                  std::pair{"MX", wk.mx_hmno}, std::pair{"AR", wk.ar_hmno},
+                                  std::pair{"NL", wk.nl_iot_provisioner}}) {
+    const auto local = operators.mnos_in_country(iso);
+    EXPECT_NE(std::find(local.begin(), local.end(), hmno), local.end()) << iso;
+  }
+  EXPECT_TRUE(operators.mnos_in_country(cellnet::kNoCountry).empty());
+}
+
+// resolve() against a brute-force definition over every operator pair:
+// bilateral first, then a hub both joined, then one hop of peering, with
+// memberships read from the hubs' member lists. The world's hubs are the
+// M2M hub and its peered partner, both with 2G/3G/4G and IPX-hub breakout.
+TEST_F(WorldTest, ResolveMatchesBruteForce) {
+  const auto& operators = world().operators();
+  const auto& hubs = world().hubs();
+  const auto& bilateral = world().bilateral();
+  const auto& wk = world().well_known();
+  std::vector<std::vector<HubId>> joined(operators.size());
+  for (HubId h = 0; h < hubs.size(); ++h) {
+    for (const OperatorId member : hubs.get(h).members) joined[member].push_back(h);
+  }
+  auto peered = [&](HubId a, HubId b) {
+    return (a == wk.m2m_hub && b == wk.partner_hub) ||
+           (a == wk.partner_hub && b == wk.m2m_hub);
+  };
+  AgreementTerms hub_terms;
+  hub_terms.allowed_rats = all_rats();
+  hub_terms.breakout = BreakoutType::kIpxHubBreakout;
+
+  auto expected = [&](OperatorId home, OperatorId visited) -> EffectiveRoaming {
+    if (const auto direct = bilateral.find(home, visited)) {
+      return EffectiveRoaming{RoamingPath::kDirect, *direct};
+    }
+    for (const HubId h : joined[home]) {
+      for (const HubId v : joined[visited]) {
+        if (h == v) return EffectiveRoaming{RoamingPath::kViaHub, hub_terms, h};
+      }
+    }
+    for (const HubId h : joined[home]) {
+      for (const HubId v : joined[visited]) {
+        if (peered(h, v)) return EffectiveRoaming{RoamingPath::kViaHubPeering, hub_terms, h};
+      }
+    }
+    return EffectiveRoaming{};
+  };
+
+  std::size_t per_path[4] = {};
+  for (OperatorId home = 0; home < operators.size(); ++home) {
+    for (OperatorId visited = 0; visited < operators.size(); ++visited) {
+      const auto want = expected(home, visited);
+      const auto got = hubs.resolve(bilateral, home, visited);
+      ASSERT_EQ(got.path, want.path) << home << "->" << visited;
+      ASSERT_EQ(got.via_hub, want.via_hub) << home << "->" << visited;
+      ASSERT_EQ(got.terms.allowed_rats.bits(), want.terms.allowed_rats.bits());
+      ASSERT_EQ(got.terms.breakout, want.terms.breakout);
+      ++per_path[static_cast<int>(got.path)];
+    }
+  }
+  // Every kind of path occurs, so the comparison covers each branch.
+  for (const auto count : per_path) EXPECT_GT(count, 0u);
 }
 
 TEST_F(WorldTest, DeterministicBuild) {
