@@ -96,8 +96,8 @@ inline std::uint64_t peak_rss_bytes() {
 }
 
 /// Record the engine's parallel-execution metadata in a manifest. These
-/// keys are informational (compare_manifest.py ignores them): thread count
-/// never changes results, only wall time.
+/// keys are informational: thread count never changes results, only wall
+/// time.
 inline void add_thread_metadata(obs::RunManifest& manifest, const sim::Engine& engine,
                                 unsigned threads_requested) {
   manifest.add_result("engine_threads", static_cast<std::uint64_t>(threads_requested));
@@ -113,7 +113,7 @@ inline void add_thread_metadata(obs::RunManifest& manifest, const sim::Engine& e
     manifest.add_result("engine_shard_wakes", wakes);
   }
   // Flight-recorder shard-balance telemetry (only meaningful on traced
-  // runs; compare_manifest.py ignores all trace_* keys).
+  // runs).
   const auto& busy = engine.shard_busy_s();
   if (!busy.empty() && engine.window_wall_s() > 0.0) {
     double lo = busy.front(), hi = busy.front();
@@ -206,8 +206,7 @@ inline obs::RunManifest make_manifest(const std::string& name, std::uint64_t see
 
 /// Write and announce a manifest (stderr keeps stdout tables clean). The
 /// process's peak RSS is stamped here — write time is as late as any
-/// harness measures, so the value covers the whole run. Ignored by
-/// compare_manifest.py: memory ceilings vary with scale and machine.
+/// harness measures, so the value covers the whole run.
 inline void write_manifest(obs::RunManifest& manifest) {
   manifest.add_result("peak_rss_bytes", peak_rss_bytes());
   const auto path = manifest.write();

@@ -1,23 +1,24 @@
 // P1 — pipeline performance. Two layers:
 //
-//  1. An instrumented end-to-end pipeline run (scenario build → engine →
-//     summarize → census) under the obs layer, exported as BENCH_p1.json —
-//     the schema-stable manifest the scripts/check.sh regression gate and
-//     the cross-commit perf trajectory consume (phase wall-times,
-//     records/sec, queue-depth max, failure counters).
+//  1. Three A/B guards at reduced scale — checkpoint cadence, CSV vs
+//     WTRTRC1 trace replay, flight recorder off vs on. Each exits nonzero
+//     when its arms' record streams differ; their measurements (snapshot
+//     wall, replay speedup, recorder overhead and its off-vs-off noise) go
+//     to BENCH_p1.json. End-to-end timing of the §4–§6 pipeline is
+//     perfbench's job (perfbench/run.py, gated by scripts/perf_gate.py).
 //  2. The google-benchmark micro suite for the analysis kernels an operator
 //     would run daily (summarize, labeler, classifier, census, gyration,
 //     ECDF, simulation throughput).
 //
-// `--manifest-only` runs just layer 1 (the CI gate's fast path);
-// `--threads=N` (or WTR_BENCH_THREADS) runs the engine sharded across N
-// workers — output is byte-identical, and the manifest gains an A/B
-// speedup measurement against a threads=1 reference run. Any other
-// arguments pass through to google-benchmark.
+// `--manifest-only` runs just layer 1; `--threads=N` (or
+// WTR_BENCH_THREADS) runs the guards' engines sharded across N workers —
+// output is byte-identical. Any other arguments pass through to
+// google-benchmark.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -40,68 +41,14 @@ namespace {
 
 using namespace wtr;
 
-// --- Layer 1: instrumented pipeline manifest -------------------------------
+// --- Layer 1: A/B guards ---------------------------------------------------
 
-constexpr std::uint64_t kPipelineSeed = 101;
+constexpr std::uint64_t kGuardSeed = 101;
 
-struct PipelineRun {
-  std::unique_ptr<tracegen::MnoScenario> scenario;
-  std::size_t summaries = 0;
-  std::size_t population = 0;
-  double wall_s = 0.0;  // scenario build → census, end to end
-  bool interrupted = false;  // Ctrl-C landed mid-engine (sinks are drained)
-};
-
-PipelineRun run_pipeline_once(unsigned threads, obs::RunObservation& observation) {
-  const auto start = std::chrono::steady_clock::now();
-  tracegen::MnoScenarioConfig config;
-  config.seed = kPipelineSeed;
-  config.total_devices = bench::scale_override(4'000);
-  config.threads = threads;
-  config.build_coverage = false;  // perf path needs no dwell grid
-  config.obs = observation.view();
-
-  std::cerr << "[bench] instrumented pipeline: " << config.total_devices
-            << " devices, " << config.days << " days, " << threads
-            << " thread(s)...\n";
-  auto scenario = std::make_unique<tracegen::MnoScenario>(config);
-  core::CatalogAccumulator accumulator{{scenario->observer_plmn(),
-                                        scenario->family_plmns()}};
-  scenario->run({&accumulator});
-
-  if (scenario->engine().interrupted()) {
-    // Graceful SIGINT/SIGTERM stop: the engine returned at a window
-    // barrier, so every record produced so far has already been delivered
-    // to the accumulator — nothing buffered is lost. Skip the analysis phases;
-    // the caller writes a *.partial manifest instead of the real one.
-    PipelineRun run;
-    run.scenario = std::move(scenario);
-    run.interrupted = true;
-    run.wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    return run;
-  }
-
-  auto timed = [&](const char* phase, auto&& fn) {
-    obs::ScopedTimer timer{&observation.timers(), phase};
-    return fn();
-  };
-  const auto catalog =
-      timed("analysis/catalog_finalize", [&] { return accumulator.finalize(); });
-  const auto summaries = timed("analysis/summarize", [&] { return core::summarize(catalog); });
-  const auto population = timed("analysis/census", [&] {
-    return core::run_census(catalog, scenario->observer_plmn(), scenario->mvno_plmns(),
-                            scenario->tac_catalog());
-  });
-
-  PipelineRun run;
-  run.scenario = std::move(scenario);
-  run.summaries = summaries.size();
-  run.population = population.size();
-  run.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-                   .count();
-  return run;
+/// Devices per guard run: a fifth of WTR_BENCH_SCALE (default 4,000), at
+/// least 200.
+std::size_t guard_devices() {
+  return std::max<std::size_t>(bench::scale_override(4'000) / 5, 200);
 }
 
 /// Byte-exact record-stream capture for the checkpoint guard (doubles via
@@ -156,13 +103,13 @@ struct CheckpointGuard {
 /// snapshot boundaries may never perturb the simulation. Exits nonzero on
 /// divergence (this is a correctness gate riding the perf bench).
 CheckpointGuard run_checkpoint_guard(unsigned threads) {
-  const std::size_t devices = std::max<std::size_t>(bench::scale_override(4'000) / 5, 200);
+  const std::size_t devices = guard_devices();
   const auto ckpt_path =
       (std::filesystem::temp_directory_path() / "wtr_bench_p1_guard_ckpt.bin").string();
 
   auto one = [&](const tracegen::CheckpointOptions& ckpt, GuardStream& sink) {
     tracegen::MnoScenarioConfig config;
-    config.seed = kPipelineSeed;
+    config.seed = kGuardSeed;
     config.total_devices = devices;
     config.threads = threads;
     config.build_coverage = false;
@@ -229,7 +176,7 @@ struct TraceFormatGuard {
 /// (exit nonzero otherwise — a correctness gate riding the perf bench), and
 /// the measured walls feed the replay_speedup manifest key.
 TraceFormatGuard run_trace_format_guard() {
-  const std::size_t devices = std::max<std::size_t>(bench::scale_override(4'000) / 5, 200);
+  const std::size_t devices = guard_devices();
   std::cerr << "[bench] trace format guard: " << devices
             << " devices, CSV vs WTRTRC1 replay...\n";
 
@@ -238,7 +185,7 @@ TraceFormatGuard run_trace_format_guard() {
   {
     core::CsvTraceExportSink csv_sink{sig_csv, cdr_csv, xdr_csv};
     tracegen::MnoScenarioConfig config;
-    config.seed = kPipelineSeed;
+    config.seed = kGuardSeed;
     config.total_devices = devices;
     config.build_coverage = false;
     tracegen::MnoScenario scenario{config};
@@ -354,38 +301,49 @@ struct TraceOverheadGuard {
   double off_wall_s = 0.0;
   double on_wall_s = 0.0;
   double overhead_pct = 0.0;
+  double null_pct = 0.0;
   std::uint64_t trace_events = 0;
 };
 
 /// A/B guard for the flight recorder at reduced scale: a traced run must
 /// produce a bit-identical record stream (tracing may never perturb the
 /// simulation — exit nonzero otherwise), and its wall-time overhead must
-/// stay under WTR_TRACE_OVERHEAD_MAX_PCT (default 3%). The off and on arms
-/// alternate (off, on, off, on, ...) so drift in host load hits both arms
-/// alike, and the medians of the two arms are compared; deltas inside an
-/// absolute noise floor pass regardless of ratio, since tiny guard-scale
-/// runs can't resolve sub-millisecond differences.
+/// stay under 3%. After one untimed warm-up run, each block runs the arms
+/// off, on, null, null, on, off — null is a second untraced arm — so every
+/// arm's two runs sit symmetrically about the block's middle and a linear
+/// drift in host speed adds the same to each arm. The on and null arms'
+/// median walls are compared with the off arm's; the null arm (off vs off)
+/// shows the noise and is reported only. Deltas inside an absolute noise
+/// floor pass regardless of ratio, since tiny guard-scale runs can't resolve
+/// sub-millisecond differences.
 TraceOverheadGuard run_trace_overhead_guard(unsigned threads) {
-  const std::size_t devices = std::max<std::size_t>(bench::scale_override(4'000) / 5, 200);
+  const std::size_t devices = guard_devices();
   const auto trace_path =
       (std::filesystem::temp_directory_path() / "wtr_bench_p1_guard_trace.json").string();
   std::cerr << "[bench] trace overhead guard: " << devices
-            << " devices, recorder off vs on, interleaved...\n";
+            << " devices, recorder off vs on vs off, ABBA blocks...\n";
 
-  constexpr int kPairs = 5;
+  enum Arm { kOff, kOn, kNull };
+  constexpr std::array<Arm, 6> kBlock{kOff, kOn, kNull, kNull, kOn, kOff};
+  constexpr int kBlocks = 8;
+  constexpr double kMaxPct = 3.0;
+  // Noise floor: at guard scale a few ms of scheduler jitter can exceed any
+  // percentage bound; only a delta that is both relatively and absolutely
+  // large indicates real recorder overhead.
+  constexpr double kNoiseFloorS = 0.025;
+
   TraceOverheadGuard guard;
   std::string off_stream, on_stream;
-  std::uint64_t off_events = 0;
   bool interrupted = false;
 
   // One run of one arm; keeps the record stream of the arm's first run.
-  auto run = [&](const std::string& path, std::string& stream, std::uint64_t& events) {
+  auto run = [&](Arm arm) {
     tracegen::MnoScenarioConfig config;
-    config.seed = kPipelineSeed;
+    config.seed = kGuardSeed;
     config.total_devices = devices;
     config.threads = threads;
     config.build_coverage = false;
-    config.telemetry.trace_path = path;
+    if (arm == kOn) config.telemetry.trace_path = trace_path;
     GuardStream sink;
     const auto start = std::chrono::steady_clock::now();
     tracegen::MnoScenario scenario{config};
@@ -394,26 +352,31 @@ TraceOverheadGuard run_trace_overhead_guard(unsigned threads) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
     if (scenario.engine().interrupted()) interrupted = true;
     if (const auto* rec = scenario.engine().flight_recorder()) {
-      events = rec->events_recorded();
+      guard.trace_events = rec->events_recorded();
     }
-    if (stream.empty()) stream = std::move(sink.stream);
+    if (arm != kNull) {
+      auto& stream = arm == kOn ? on_stream : off_stream;
+      if (stream.empty()) stream = std::move(sink.stream);
+    }
     return wall;
   };
-  auto median = [](std::vector<double> walls) {
-    std::sort(walls.begin(), walls.end());
-    return walls[walls.size() / 2];
+  auto median = [](std::vector<double> values) {
+    std::sort(values.begin(), values.end());
+    const std::size_t mid = values.size() / 2;
+    return values.size() % 2 == 1 ? values[mid] : (values[mid - 1] + values[mid]) / 2.0;
   };
 
-  std::vector<double> off_walls, on_walls;
-  for (int pair = 0; pair < kPairs && !interrupted; ++pair) {
-    off_walls.push_back(run("", off_stream, off_events));
-    if (interrupted) break;
-    on_walls.push_back(run(trace_path, on_stream, guard.trace_events));
+  run(kOff);  // untimed warm-up; also captures the off arm's stream
+  std::array<std::vector<double>, 3> walls;
+  for (int block = 0; block < kBlocks && !interrupted; ++block) {
+    for (const Arm arm : kBlock) walls[arm].push_back(run(arm));
   }
   std::filesystem::remove(trace_path);
   if (interrupted) return {};  // Ctrl-C mid-guard: nothing to assert
-  guard.off_wall_s = median(off_walls);
-  guard.on_wall_s = median(on_walls);
+  guard.off_wall_s = median(walls[kOff]);
+  guard.on_wall_s = median(walls[kOn]);
+  guard.overhead_pct = (guard.on_wall_s / guard.off_wall_s - 1.0) * 100.0;
+  guard.null_pct = (median(walls[kNull]) / guard.off_wall_s - 1.0) * 100.0;
 
   if (off_stream != on_stream) {
     std::cerr << "[bench] FAIL: enabling the flight recorder changed the "
@@ -427,128 +390,59 @@ TraceOverheadGuard run_trace_overhead_guard(unsigned threads) {
     std::exit(1);
   }
 
-  double max_pct = 3.0;
-  if (const char* env = std::getenv("WTR_TRACE_OVERHEAD_MAX_PCT");
-      env != nullptr && *env != '\0') {
-    max_pct = std::strtod(env, nullptr);
-  }
-  const double delta_s = guard.on_wall_s - guard.off_wall_s;
-  guard.overhead_pct =
-      guard.off_wall_s > 0.0 ? delta_s / guard.off_wall_s * 100.0 : 0.0;
-  // Noise floor: at guard scale a few ms of scheduler jitter can exceed any
-  // percentage bound; only a delta that is both relatively and absolutely
-  // large indicates real recorder overhead.
-  constexpr double kNoiseFloorS = 0.025;
-  if (guard.overhead_pct > max_pct && delta_s > kNoiseFloorS) {
+  if (guard.overhead_pct > kMaxPct &&
+      guard.on_wall_s - guard.off_wall_s > kNoiseFloorS) {
     std::cerr << "[bench] FAIL: flight-recorder overhead "
               << io::format_fixed(guard.overhead_pct, 2) << "% exceeds "
-              << io::format_fixed(max_pct, 2) << "% (walls "
+              << io::format_fixed(kMaxPct, 2) << "% (walls "
               << io::format_fixed(guard.off_wall_s, 3) << "s off vs "
-              << io::format_fixed(guard.on_wall_s, 3) << "s on)\n";
+              << io::format_fixed(guard.on_wall_s, 3) << "s on; off-vs-off noise "
+              << io::format_fixed(guard.null_pct, 2) << "%)\n";
     std::exit(1);
   }
   guard.ran = true;
   std::cerr << "[bench] trace overhead guard: streams bit-identical, "
             << guard.trace_events << " events, overhead "
-            << io::format_fixed(guard.overhead_pct, 2) << "%\n";
+            << io::format_fixed(guard.overhead_pct, 2) << "% (off-vs-off noise "
+            << io::format_fixed(guard.null_pct, 2) << "%)\n";
   return guard;
 }
 
-/// Returns false when the run was interrupted by SIGINT/SIGTERM — the
-/// partial manifest has been written and the micro benches must not run.
-bool run_instrumented_pipeline(unsigned threads) {
-  // With threads > 1, run a threads=1 reference first so the manifest can
-  // report measured speedups. The sharded run's records and probe stats are
-  // byte-identical to the reference's — only the wall times differ.
-  double ref_engine_s = 0.0;
-  double ref_wall_s = 0.0;
-  if (threads > 1) {
-    obs::RunObservation reference;
-    const auto ref = run_pipeline_once(1, reference);
-    if (ref.interrupted) return false;
-    ref_engine_s = reference.timers().total_s("engine/run");
-    ref_wall_s = ref.wall_s;
-  }
+/// Runs the three guards and writes their manifest. Returns false when
+/// SIGINT/SIGTERM stopped a guard — nothing was asserted, no manifest is
+/// written, and the micro benches must not run.
+bool run_guards(unsigned threads) {
+  obs::RunManifest manifest{"p1"};
+  manifest.set_seed(kGuardSeed);
+  manifest.set_scale(guard_devices());
+  manifest.add_result("engine_threads", static_cast<std::uint64_t>(threads));
 
-  obs::RunObservation observation;
-  const auto run = run_pipeline_once(threads, observation);
-  if (run.interrupted) {
-    // Export what the drained sinks and probe saw under a *.partial name so
-    // an aborted bench leaves a marker instead of a fake baseline.
-    auto manifest = bench::make_manifest("p1.partial", kPipelineSeed,
-                                         bench::scale_override(4'000), observation);
-    manifest.add_result("interrupted", std::string{"signal"});
-    manifest.add_result("records_total", observation.probe().records_total());
-    bench::add_thread_metadata(manifest, run.scenario->engine(), threads);
-    bench::write_manifest(manifest);
-    std::cerr << "[bench] interrupted: sinks drained, partial manifest written\n";
-    return false;
-  }
-  const auto& scenario = *run.scenario;
-  const std::int32_t config_days = tracegen::MnoScenarioConfig{}.days;
-
-  const auto& probe = observation.probe();
-  const double engine_s = observation.timers().total_s("engine/run");
-  const double records_per_sec =
-      engine_s > 0.0 ? static_cast<double>(probe.records_total()) / engine_s : 0.0;
-
-  auto manifest = bench::make_manifest("p1", kPipelineSeed,
-                                       bench::scale_override(4'000), observation);
-  manifest.add_result("devices", static_cast<std::uint64_t>(scenario.device_count()));
-  manifest.add_result("days", static_cast<std::uint64_t>(config_days));
-  manifest.add_result("records_total", probe.records_total());
-  manifest.add_result("records_per_sec", records_per_sec);
-  manifest.add_result("queue_depth_max", probe.queue_depth_max());
-  manifest.add_result("attach_failure_rate", probe.attach_failure_rate());
-  manifest.add_result("summaries", static_cast<std::uint64_t>(run.summaries));
-  manifest.add_result("population", static_cast<std::uint64_t>(run.population));
-  bench::add_thread_metadata(manifest, run.scenario->engine(), threads);
   const auto guard = run_checkpoint_guard(threads);
-  if (guard.ran) {
-    manifest.add_result("checkpoints_written", guard.checkpoints_written);
-    manifest.add_result("checkpoint_wall_s", guard.checkpoint_wall_s);
-    manifest.add_result("checkpoint_guard", std::string{"ok"});
-  }
-  const auto trace_guard = run_trace_format_guard();
-  if (trace_guard.ran) {
-    manifest.add_result("trace_bytes_csv", trace_guard.csv_bytes);
-    manifest.add_result("trace_bytes_binary", trace_guard.binary_bytes);
-    manifest.add_result("replay_wall_s_csv", trace_guard.csv_wall_s);
-    manifest.add_result("replay_wall_s_binary", trace_guard.binary_wall_s);
-    manifest.add_result("replay_speedup",
-                        trace_guard.binary_wall_s > 0.0
-                            ? trace_guard.csv_wall_s / trace_guard.binary_wall_s
-                            : 0.0);
-    manifest.add_result("trace_format_guard", std::string{"ok"});
-  }
-  const auto overhead_guard = run_trace_overhead_guard(threads);
-  if (overhead_guard.ran) {
-    manifest.add_result("trace_overhead_pct", overhead_guard.overhead_pct);
-    manifest.add_result("trace_events", overhead_guard.trace_events);
-    manifest.add_result("trace_guard", std::string{"ok"});
-  }
-  if (threads > 1) {
-    manifest.add_result("engine_speedup",
-                        engine_s > 0.0 ? ref_engine_s / engine_s : 0.0);
-    manifest.add_result("end_to_end_speedup",
-                        run.wall_s > 0.0 ? ref_wall_s / run.wall_s : 0.0);
-    std::cerr << "[bench] speedup vs threads=1: engine "
-              << io::format_fixed(engine_s > 0.0 ? ref_engine_s / engine_s : 0.0, 2)
-              << "x, end-to-end "
-              << io::format_fixed(run.wall_s > 0.0 ? ref_wall_s / run.wall_s : 0.0, 2)
-              << "x\n";
-  }
-  bench::write_manifest(manifest);
+  if (!guard.ran) return false;
+  manifest.add_result("checkpoints_written", guard.checkpoints_written);
+  manifest.add_result("checkpoint_wall_s", guard.checkpoint_wall_s);
+  manifest.add_result("checkpoint_guard", std::string{"ok"});
 
-  io::Table table{{"pipeline phase", "wall_s", "spans"}};
-  for (const auto& phase : observation.timers().phases()) {
-    table.add_row({std::string(static_cast<std::size_t>(phase.depth) * 2, ' ') +
-                       phase.path,
-                   io::format_fixed(phase.wall_s, 3), io::format_count(phase.count)});
-  }
-  std::cout << io::figure_banner("P1", "Instrumented pipeline phases")
-            << table.render() << "records/sec (engine phase): "
-            << io::format_fixed(records_per_sec, 0) << "\n\n";
+  const auto trace_guard = run_trace_format_guard();
+  if (!trace_guard.ran) return false;
+  manifest.add_result("trace_bytes_csv", trace_guard.csv_bytes);
+  manifest.add_result("trace_bytes_binary", trace_guard.binary_bytes);
+  manifest.add_result("replay_wall_s_csv", trace_guard.csv_wall_s);
+  manifest.add_result("replay_wall_s_binary", trace_guard.binary_wall_s);
+  manifest.add_result("replay_speedup",
+                      trace_guard.binary_wall_s > 0.0
+                          ? trace_guard.csv_wall_s / trace_guard.binary_wall_s
+                          : 0.0);
+  manifest.add_result("trace_format_guard", std::string{"ok"});
+
+  const auto overhead_guard = run_trace_overhead_guard(threads);
+  if (!overhead_guard.ran) return false;
+  manifest.add_result("trace_overhead_pct", overhead_guard.overhead_pct);
+  manifest.add_result("trace_null_pct", overhead_guard.null_pct);
+  manifest.add_result("trace_events", overhead_guard.trace_events);
+  manifest.add_result("trace_guard", std::string{"ok"});
+
+  bench::write_manifest(manifest);
   return true;
 }
 
@@ -703,11 +597,11 @@ int main(int argc, char** argv) {
   }
   argc = out;
 
-  // Ctrl-C lands as a graceful engine stop (drained sinks + a *.partial
-  // manifest) instead of killing the process with buffered state lost.
+  // Ctrl-C lands as a graceful engine stop at the next window barrier; the
+  // interrupted guard asserts nothing and the bench exits 130.
   wtr::ckpt::install_shutdown_handlers();
 
-  if (!run_instrumented_pipeline(threads)) return 130;
+  if (!run_guards(threads)) return 130;
   if (manifest_only) return 0;
 
   benchmark::Initialize(&argc, argv);

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Four gates:
+# Gates:
 #
 #  1. Sanitizer gate — configure a separate ASan+UBSan build tree (UBSan
 #     includes float-cast-overflow, so a NaN reaching a float->int bin cast
@@ -18,18 +18,20 @@
 #     ledgers merging at engine barriers) runs under TSan too, then the
 #     ASan tree drives kill injection through an overload window
 #     (KillInjectionStorm*) as its own serial lane.
-#  3. Perf gate — build bench_p1_pipeline_perf in the plain `build/` tree
-#     (no sanitizers; timings must be real), run its instrumented pipeline
-#     (--manifest-only), drop BENCH_p1.json in the repo root, and fail on a
-#     >25% phase-timer or records/sec regression against the checked-in
-#     baseline (bench/baselines/BENCH_p1_baseline.json). The baseline is
-#     always recorded at threads=1 (see EXPERIMENTS.md): --rebaseline never
-#     sets WTR_BENCH_THREADS, so thread-count experiments cannot skew the
-#     gate.
+#  3. Guard + perf gate — in plain builds (no sanitizers; timings must be
+#     real): run P1's A/B guards (bench_p1_pipeline_perf --manifest-only:
+#     checkpoint cadence, CSV vs binary trace replay, flight recorder off vs
+#     on; each exits nonzero on a record-stream mismatch) and drop their
+#     BENCH_p1.json in the repo root. Then scripts/perf_gate.py runs every
+#     BENCHMARK.json workload through perfbench/run.py (golden digests
+#     checked) and fails when an end-to-end metric is worse than the
+#     checked-in baseline median (bench/baselines/perfbench_baseline.json)
+#     by more than both its BENCHMARK.json bound and the baseline's IQR.
 #
 # Usage: scripts/check.sh [--rebaseline] [build-dir]   (default: build-asan)
-#   --rebaseline  refresh the checked-in perf baseline from this machine's
-#                 run instead of gating against it (commit the result).
+#   --rebaseline  record the checked-in perf baseline on this machine
+#                 (5 perfbench runs per workload) instead of gating against
+#                 it (commit the result).
 
 set -euo pipefail
 
@@ -222,21 +224,20 @@ for tree in "$build_dir" "$tsan_dir"; do
 done
 echo "check.sh: scale-smoke lane passed (${scale_devices} agents, threads=1 == threads=4 under ASan and TSan)"
 
-# --- Perf gate (plain build: sanitizer overhead would swamp the timers) ----
-baseline="bench/baselines/BENCH_p1_baseline.json"
-
+# --- Guard + perf gate (plain builds: sanitizer overhead would swamp timers) -
 cmake -B build -S . >/dev/null
 cmake --build build -j "$(nproc)" --target bench_p1_pipeline_perf
-
 WTR_BENCH_MANIFEST_DIR=. ./build/bench/bench_p1_pipeline_perf --manifest-only
+echo "check.sh: P1 guards passed (checkpoint, trace format, trace overhead)"
 
+baseline="bench/baselines/perfbench_baseline.json"
 if [[ "$rebaseline" == 1 ]]; then
-  mkdir -p "$(dirname "$baseline")"
-  cp BENCH_p1.json "$baseline"
+  rm -f "$baseline"
+  python3 scripts/perf_gate.py
   echo "check.sh: perf baseline refreshed at $baseline (commit it)"
 elif [[ -f "$baseline" ]]; then
-  python3 scripts/compare_manifest.py "$baseline" BENCH_p1.json
-  echo "check.sh: perf gate passed (phase timers within 25% of baseline)"
+  python3 scripts/perf_gate.py
+  echo "check.sh: perf gate passed (perfbench end-to-end metrics within bound or IQR of baseline)"
 else
   echo "check.sh: no perf baseline at $baseline; run with --rebaseline to create one" >&2
   exit 1

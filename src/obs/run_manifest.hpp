@@ -4,8 +4,8 @@
 // (name, seed, scale, git describe), phase wall-times, the full metric dump
 // and the engine-probe trajectory — exported as BENCH_<name>.json (plus a
 // phases CSV for spreadsheet-side diffing). Schema is versioned via the
-// "schema" field; scripts/compare_manifest.py consumes it for the perf
-// regression gate, and EXPERIMENTS.md describes manual A/B workflows.
+// "schema" field; EXPERIMENTS.md describes manual A/B workflows. The perf
+// gate reads perfbench's results instead (scripts/perf_gate.py).
 
 #include <cstdint>
 #include <string>
