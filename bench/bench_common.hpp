@@ -1,11 +1,10 @@
 #pragma once
 
-// Shared plumbing for the figure-reproduction harnesses: each bench binary
-// simulates its scenario at a bench-friendly scale (override with
-// WTR_BENCH_SCALE=<devices>), runs the corresponding analysis, and prints
-// paper-vs-measured rows through wtr::io::Table. Harnesses that feed the
-// perf trajectory also carry an obs::RunObservation and export a
-// BENCH_<name>.json run manifest (see README "Run manifests").
+// Shared plumbing for the bench binaries (the figure runner wtr_figures, T2,
+// S1–S3 and P1): scale and thread overrides (WTR_BENCH_SCALE=<devices>,
+// WTR_BENCH_THREADS / --threads=N), the default MNO run, paper-vs-measured
+// rows through wtr::io::Table, and BENCH_<name>.json run manifests (see
+// README "Run manifests").
 
 #include <sys/resource.h>
 
@@ -16,13 +15,10 @@
 #include <string>
 
 #include "core/census.hpp"
-#include "core/platform_analysis.hpp"
 #include "io/table.hpp"
 #include "obs/observability.hpp"
 #include "tracegen/calibration.hpp"
-#include "tracegen/m2m_platform_scenario.hpp"
 #include "tracegen/mno_scenario.hpp"
-#include "tracegen/smip_scenario.hpp"
 
 namespace wtr::bench {
 
@@ -141,17 +137,22 @@ struct MnoRun {
   core::ClassifiedPopulation population;
 };
 
-/// `observation` (optional) instruments the whole run: scenario phases,
-/// engine probe samples and the analysis passes all land in it, ready for
-/// make_manifest() below.
-inline MnoRun run_mno_scenario(std::size_t default_devices = 16'000,
-                               std::uint64_t seed = 2019,
-                               obs::RunObservation* observation = nullptr,
-                               unsigned threads = 0) {
+/// MNO scenario config with WTR_BENCH_SCALE applied to `default_devices`.
+inline tracegen::MnoScenarioConfig mno_config(std::size_t default_devices, std::uint64_t seed,
+                                              unsigned threads) {
   tracegen::MnoScenarioConfig config;
   config.seed = seed;
   config.total_devices = scale_override(default_devices);
-  config.threads = threads != 0 ? threads : threads_override(1);
+  config.threads = threads;
+  return config;
+}
+
+/// Simulates `config` into a devices catalog and its census. `observation`
+/// (optional) instruments the whole run: scenario phases, engine probe
+/// samples and the analysis passes all land in it, ready for
+/// make_manifest() below.
+inline MnoRun run_mno_scenario(tracegen::MnoScenarioConfig config,
+                               obs::RunObservation* observation = nullptr) {
   if (observation != nullptr) config.obs = observation->view();
   auto scenario = std::make_unique<tracegen::MnoScenario>(config);
   std::cerr << "[bench] simulating MNO scenario: " << scenario->device_count()
@@ -165,31 +166,6 @@ inline MnoRun run_mno_scenario(std::size_t default_devices = 16'000,
   auto population = core::run_census(catalog, scenario->observer_plmn(),
                                      scenario->mvno_plmns(), scenario->tac_catalog());
   return MnoRun{std::move(scenario), std::move(catalog), std::move(population)};
-}
-
-struct PlatformRun {
-  std::unique_ptr<tracegen::M2MPlatformScenario> scenario;
-  core::PlatformStats stats;
-};
-
-inline PlatformRun run_platform_scenario(std::size_t default_devices = 10'000,
-                                         std::uint64_t seed = 2018,
-                                         obs::RunObservation* observation = nullptr,
-                                         unsigned threads = 0) {
-  tracegen::M2MPlatformConfig config;
-  config.seed = seed;
-  config.total_devices = scale_override(default_devices);
-  config.threads = threads != 0 ? threads : threads_override(1);
-  if (observation != nullptr) config.obs = observation->view();
-  auto scenario = std::make_unique<tracegen::M2MPlatformScenario>(config);
-  std::cerr << "[bench] simulating M2M platform scenario: " << scenario->device_count()
-            << " devices, " << config.days << " days...\n";
-  core::PlatformTraceAccumulator accumulator{{scenario->hmno_plmns()}};
-  scenario->run({&accumulator});
-  obs::ScopedTimer finalize_timer{
-      observation != nullptr ? &observation->timers() : nullptr, "analysis/platform"};
-  auto stats = accumulator.finalize();
-  return PlatformRun{std::move(scenario), std::move(stats)};
 }
 
 /// Manifest seeded with run identity and all three observability sources

@@ -266,7 +266,8 @@ int main(int argc, char** argv) {
   const unsigned threads = bench::threads_from_args(argc, argv);
 
   obs::RunObservation observation;
-  const auto run = bench::run_mno_scenario(16'000, 2019, &observation, threads);
+  const auto run =
+      bench::run_mno_scenario(bench::mno_config(16'000, 2019, threads), &observation);
   const auto& population = run.population;
 
   std::cout << io::figure_banner("T2", "MNO population composition (§4.2–4.3)");

@@ -47,6 +47,8 @@
 #include "util/binio.hpp"
 #include "util/crc32.hpp"
 
+#include "record_stream.hpp"
+
 #ifndef WTR_CKPT_HARNESS_PATH
 #error "WTR_CKPT_HARNESS_PATH must point at the wtr_ckpt_harness binary"
 #endif
@@ -362,72 +364,8 @@ TEST(CheckpointRecovery, CorruptSnapshotsAreRejected) {
 
 // --- in-process resume across an outage window ------------------------------
 
-std::string hex_double(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  return buf;
-}
-
-/// StreamSerializer with a checkpointed byte offset: the in-process stand-in
-/// for ckpt::TraceFileSink (same truncate-to-offset resume semantics, but
-/// against an in-memory string the test can splice and compare).
-class CheckpointableStream final : public sim::RecordSink,
-                                   public ckpt::Checkpointable {
- public:
-  std::string stream;
-
-  void on_signaling(const signaling::SignalingTransaction& txn,
-                    bool data_context) override {
-    stream += "S:";
-    for (const auto& field : signaling::to_csv_fields(txn)) {
-      stream += field;
-      stream += ',';
-    }
-    stream += data_context ? "dc\n" : "-\n";
-  }
-  void on_cdr(const records::Cdr& cdr) override {
-    stream += "C:";
-    for (const auto& field : records::to_csv_fields(cdr)) {
-      stream += field;
-      stream += ',';
-    }
-    stream += '\n';
-  }
-  void on_xdr(const records::Xdr& xdr) override {
-    stream += "X:";
-    for (const auto& field : records::to_csv_fields(xdr)) {
-      stream += field;
-      stream += ',';
-    }
-    stream += '\n';
-  }
-  void on_dwell(signaling::DeviceHash device, std::int32_t day,
-                cellnet::Plmn visited_plmn, const cellnet::GeoPoint& location,
-                double seconds) override {
-    stream += "D:";
-    stream += std::to_string(device);
-    stream += ',';
-    stream += std::to_string(day);
-    stream += ',';
-    stream += std::to_string(visited_plmn.key());
-    stream += ',';
-    stream += hex_double(location.lat);
-    stream += ',';
-    stream += hex_double(location.lon);
-    stream += ',';
-    stream += hex_double(seconds);
-    stream += '\n';
-  }
-
-  void save_state(util::BinWriter& out) const override { out.u64(stream.size()); }
-  void restore_state(util::BinReader& in) override {
-    const auto size = in.u64();
-    if (size > stream.size()) {
-      throw std::runtime_error("stream shorter than checkpointed offset");
-    }
-    stream.resize(size);
-  }
-};
+using test::hex_double;
+using test::StreamSerializer;
 
 std::string dump_metrics(const obs::MetricsRegistry& metrics) {
   std::string out;
@@ -520,7 +458,7 @@ FaultedCapture run_faulted_uninterrupted(unsigned threads,
   obs::RunObservation observation;
   tracegen::MnoScenario scenario{
       faulted_config(threads, &schedule, observation.view())};
-  CheckpointableStream sink;
+  StreamSerializer sink;
   scenario.engine().register_checkpointable("stream", &sink);
   faults::ResilienceReport report{scenario.world(), schedule,
                                   &observation.metrics()};
@@ -568,7 +506,7 @@ TEST(CheckpointRecovery, ResumeInsideOutageWindowIsDeterministic) {
       config.ckpt.path = ckpt;
       config.ckpt.stop_after_sim_hours = kStopHours;
       tracegen::MnoScenario scenario{config};
-      CheckpointableStream sink;
+      StreamSerializer sink;
       scenario.engine().register_checkpointable("stream", &sink);
       faults::ResilienceReport report{scenario.world(), schedule,
                                       &observation.metrics()};
@@ -587,7 +525,7 @@ TEST(CheckpointRecovery, ResumeInsideOutageWindowIsDeterministic) {
     obs::RunObservation observation;
     tracegen::MnoScenario scenario{
         faulted_config(threads, &schedule, observation.view())};
-    CheckpointableStream sink;
+    StreamSerializer sink;
     sink.stream = partial_stream;  // the "persisted" prefix a file sink keeps
     scenario.engine().register_checkpointable("stream", &sink);
     faults::ResilienceReport report{scenario.world(), schedule,

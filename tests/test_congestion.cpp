@@ -22,6 +22,8 @@
 #include "tracegen/storm_scenario.hpp"
 #include "util/binio.hpp"
 
+#include "record_stream.hpp"
+
 namespace wtr {
 namespace {
 
@@ -269,53 +271,8 @@ TEST(T3346Timer, StateRoundTrips) {
 
 // --- StormScenario determinism ----------------------------------------------
 
-std::string hex_double(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  return buf;
-}
-
-class StreamSerializer final : public sim::RecordSink, public ckpt::Checkpointable {
- public:
-  std::string stream;
-
-  void on_signaling(const signaling::SignalingTransaction& txn,
-                    bool data_context) override {
-    stream += "S:";
-    for (const auto& field : signaling::to_csv_fields(txn)) {
-      stream += field;
-      stream += ',';
-    }
-    stream += data_context ? "dc\n" : "-\n";
-  }
-  void on_cdr(const records::Cdr& cdr) override {
-    stream += "C:";
-    for (const auto& field : records::to_csv_fields(cdr)) {
-      stream += field;
-      stream += ',';
-    }
-    stream += '\n';
-  }
-  void on_xdr(const records::Xdr& xdr) override {
-    stream += "X:";
-    for (const auto& field : records::to_csv_fields(xdr)) {
-      stream += field;
-      stream += ',';
-    }
-    stream += '\n';
-  }
-
-  // Checkpointable: a byte offset, so a resumed run truncates back to the
-  // snapshot instant exactly like a persisted file sink would.
-  void save_state(util::BinWriter& out) const override { out.u64(stream.size()); }
-  void restore_state(util::BinReader& in) override {
-    const auto size = in.u64();
-    if (size > stream.size()) {
-      throw std::runtime_error("stream shorter than snapshot offset");
-    }
-    stream.resize(size);
-  }
-};
+using test::hex_double;
+using test::StreamSerializer;
 
 std::string dump_metrics(const obs::MetricsRegistry& metrics) {
   std::string out;

@@ -34,77 +34,13 @@
 #include "tracegen/smip_scenario.hpp"
 #include "util/thread_pool.hpp"
 
+#include "record_stream.hpp"
+
 namespace wtr {
 namespace {
 
-// --- byte-exact record stream serialization --------------------------------
-
-std::string hex_double(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%a", v);  // bit-exact round trip
-  return buf;
-}
-
-/// Serializes every record; its checkpointed state is the stream length, so
-/// a resumed run truncates to the snapshot point and appends from there.
-class StreamSerializer final : public sim::RecordSink, public ckpt::Checkpointable {
- public:
-  std::string stream;
-  stats::SimTime last_signaling_time = -1;
-
-  void on_signaling(const signaling::SignalingTransaction& txn,
-                    bool data_context) override {
-    last_signaling_time = txn.time;
-    stream += "S:";
-    for (const auto& field : signaling::to_csv_fields(txn)) {
-      stream += field;
-      stream += ',';
-    }
-    stream += data_context ? "dc\n" : "-\n";
-  }
-  void on_cdr(const records::Cdr& cdr) override {
-    stream += "C:";
-    for (const auto& field : records::to_csv_fields(cdr)) {
-      stream += field;
-      stream += ',';
-    }
-    stream += '\n';
-  }
-  void on_xdr(const records::Xdr& xdr) override {
-    stream += "X:";
-    for (const auto& field : records::to_csv_fields(xdr)) {
-      stream += field;
-      stream += ',';
-    }
-    stream += '\n';
-  }
-  void on_dwell(signaling::DeviceHash device, std::int32_t day,
-                cellnet::Plmn visited_plmn, const cellnet::GeoPoint& location,
-                double seconds) override {
-    stream += "D:";
-    stream += std::to_string(device);
-    stream += ',';
-    stream += std::to_string(day);
-    stream += ',';
-    stream += std::to_string(visited_plmn.key());
-    stream += ',';
-    stream += hex_double(location.lat);
-    stream += ',';
-    stream += hex_double(location.lon);
-    stream += ',';
-    stream += hex_double(seconds);
-    stream += '\n';
-  }
-
-  void save_state(util::BinWriter& out) const override { out.u64(stream.size()); }
-  void restore_state(util::BinReader& in) override {
-    const auto size = in.u64();
-    if (size > stream.size()) {
-      throw std::runtime_error("stream shorter than checkpointed offset");
-    }
-    stream.resize(size);
-  }
-};
+using test::hex_double;
+using test::StreamSerializer;
 
 std::string dump_metrics(const obs::MetricsRegistry& metrics) {
   std::string out;

@@ -9,68 +9,57 @@
 #include "tracegen/mno_scenario.hpp"
 #include "tracegen/smip_scenario.hpp"
 
+#include "record_stream.hpp"
+
 namespace wtr {
 namespace {
 
-struct TraceDigest {
-  std::uint64_t signaling = 0;
-  std::uint64_t hash = 0;
-  std::uint64_t cdrs = 0;
-  std::uint64_t xdrs = 0;
+/// The full serialized record stream of one run; bit-exact equality of two
+/// of these is the determinism claim.
+template <typename Scenario>
+std::string stream_of(Scenario& scenario) {
+  test::StreamSerializer sink;
+  scenario.run({&sink});
+  return std::move(sink.stream);
+}
 
-  friend bool operator==(const TraceDigest&, const TraceDigest&) = default;
-};
-
-class DigestSink final : public sim::RecordSink {
- public:
-  TraceDigest digest;
-
-  void on_signaling(const signaling::SignalingTransaction& txn, bool) override {
-    ++digest.signaling;
-    digest.hash = stats::mix64(digest.hash,
-                               stats::mix64(txn.device ^ static_cast<std::uint64_t>(txn.time),
-                                            txn.visited_plmn.key() ^
-                                                static_cast<std::uint64_t>(txn.result)));
-  }
-  void on_cdr(const records::Cdr&) override { ++digest.cdrs; }
-  void on_xdr(const records::Xdr&) override { ++digest.xdrs; }
-};
-
-TraceDigest run_mno(std::uint64_t seed) {
+std::string run_mno(std::uint64_t seed) {
   tracegen::MnoScenarioConfig config;
   config.seed = seed;
   config.total_devices = 800;
   config.build_coverage = false;  // faster; determinism is what we test
   tracegen::MnoScenario scenario{config};
-  DigestSink sink;
-  scenario.run({&sink});
-  return sink.digest;
+  return stream_of(scenario);
 }
 
+// Streams are compared as bools: a gtest diff of two multi-megabyte streams
+// helps nobody.
 TEST(Determinism, MnoScenarioReplays) {
-  EXPECT_EQ(run_mno(42), run_mno(42));
+  const auto stream = run_mno(42);
+  ASSERT_FALSE(stream.empty());
+  EXPECT_TRUE(stream == run_mno(42));
 }
 
 TEST(Determinism, MnoScenarioSeedSensitivity) {
-  EXPECT_NE(run_mno(42).hash, run_mno(43).hash);
+  EXPECT_TRUE(run_mno(42) != run_mno(43));
 }
 
-TraceDigest run_platform(std::uint64_t seed) {
+std::string run_platform(std::uint64_t seed) {
   tracegen::M2MPlatformConfig config;
   config.seed = seed;
   config.total_devices = 800;
   tracegen::M2MPlatformScenario scenario{config};
-  DigestSink sink;
-  scenario.run({&sink});
-  return sink.digest;
+  return stream_of(scenario);
 }
 
 TEST(Determinism, PlatformScenarioReplays) {
-  EXPECT_EQ(run_platform(7), run_platform(7));
+  const auto stream = run_platform(7);
+  ASSERT_FALSE(stream.empty());
+  EXPECT_TRUE(stream == run_platform(7));
 }
 
 TEST(Determinism, PlatformSeedSensitivity) {
-  EXPECT_NE(run_platform(7).hash, run_platform(8).hash);
+  EXPECT_TRUE(run_platform(7) != run_platform(8));
 }
 
 TEST(Determinism, SmipScenarioReplays) {
@@ -80,12 +69,12 @@ TEST(Determinism, SmipScenarioReplays) {
     config.total_devices = 600;
     config.build_coverage = false;
     tracegen::SmipScenario scenario{config};
-    DigestSink sink;
-    scenario.run({&sink});
-    return sink.digest;
+    return stream_of(scenario);
   };
-  EXPECT_EQ(run(9), run(9));
-  EXPECT_NE(run(9).hash, run(10).hash);
+  const auto stream = run(9);
+  ASSERT_FALSE(stream.empty());
+  EXPECT_TRUE(stream == run(9));
+  EXPECT_TRUE(stream != run(10));
 }
 
 TEST(ScenarioInvariants, GroundTruthCoversAllDevices) {
@@ -126,10 +115,11 @@ TEST(ScenarioInvariants, MultipleSinksSeeSameStream) {
   config.total_devices = 300;
   config.build_coverage = false;
   tracegen::MnoScenario scenario{config};
-  DigestSink a;
-  DigestSink b;
+  test::StreamSerializer a;
+  test::StreamSerializer b;
   scenario.run({&a, &b});
-  EXPECT_EQ(a.digest, b.digest);
+  ASSERT_FALSE(a.stream.empty());
+  EXPECT_TRUE(a.stream == b.stream);
 }
 
 TEST(ScenarioInvariants, ScaleChangesDeviceCountRoughlyLinearly) {

@@ -36,6 +36,8 @@
 #include "tracegen/storm_scenario.hpp"
 #include "util/binio.hpp"
 
+#include "record_stream.hpp"
+
 namespace wtr {
 namespace {
 
@@ -43,51 +45,8 @@ namespace fs = std::filesystem;
 
 // --- shared plumbing --------------------------------------------------------
 
-std::string hex_double(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  return buf;
-}
-
-class StreamSerializer final : public sim::RecordSink, public ckpt::Checkpointable {
- public:
-  std::string stream;
-
-  void on_signaling(const signaling::SignalingTransaction& txn,
-                    bool data_context) override {
-    stream += "S:";
-    for (const auto& field : signaling::to_csv_fields(txn)) {
-      stream += field;
-      stream += ',';
-    }
-    stream += data_context ? "dc\n" : "-\n";
-  }
-  void on_cdr(const records::Cdr& cdr) override {
-    stream += "C:";
-    for (const auto& field : records::to_csv_fields(cdr)) {
-      stream += field;
-      stream += ',';
-    }
-    stream += '\n';
-  }
-  void on_xdr(const records::Xdr& xdr) override {
-    stream += "X:";
-    for (const auto& field : records::to_csv_fields(xdr)) {
-      stream += field;
-      stream += ',';
-    }
-    stream += '\n';
-  }
-
-  void save_state(util::BinWriter& out) const override { out.u64(stream.size()); }
-  void restore_state(util::BinReader& in) override {
-    const auto size = in.u64();
-    if (size > stream.size()) {
-      throw std::runtime_error("stream shorter than snapshot offset");
-    }
-    stream.resize(size);
-  }
-};
+using test::hex_double;
+using test::StreamSerializer;
 
 /// Metrics dump with the trace.* family filtered out: those gauges are
 /// wall-clock-derived and only published on traced runs, so byte-identity
